@@ -37,9 +37,7 @@ from .forms import (
     congruent,
     congruent_definite,
     congruent_indefinite,
-    definite_enumeration_bound,
     diagonalize_over_Q,
-    smith_solve,
 )
 from .invariants import ManifoldInvariants, intersection_form, kirby_siebenmann
 from .knot import (
@@ -79,7 +77,6 @@ __all__ = [
     "congruent_definite",
     "congruent_indefinite",
     "crossing_sign",
-    "definite_enumeration_bound",
     "diagonalize_over_Q",
     "homeomorphic_oriented",
     "homeomorphic_unoriented",
@@ -90,5 +87,4 @@ __all__ = [
     "mirror",
     "mirror_knot",
     "parse_framed_link",
-    "smith_solve",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import FramedLink, mirror
-from .forms import INDEFINITE, classify as classify_form, congruent_with_witness
+from .forms import classify as classify_form, congruent_with_witness
 from .invariants import ManifoldInvariants, intersection_form, kirby_siebenmann
 from .matrices import IntRows
 
@@ -55,10 +55,7 @@ def _smooth_forms_match(left, right) -> bool:
     Definite forms of smooth manifolds are diagonalizable over the integers,
     so rank, signature, and parity decide congruence without enumeration.
     """
-    cl, cr = classify_form(left), classify_form(right)
-    if cl.definiteness != cr.definiteness:
-        return False
-    return (cl.rank, cl.signature, cl.parity) == (cr.rank, cr.signature, cr.parity)
+    return classify_form(left) == classify_form(right)
 
 
 def homeomorphic_oriented(

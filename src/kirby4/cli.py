@@ -116,8 +116,12 @@ def _decide(path1: str, path2: str, unoriented: bool, smooth: bool) -> dict:
 
 def _cmd_homeo(args):
     if args.batch:
+        try:
+            text = _read_bytes(args.batch).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(f"{args.batch}: not valid UTF-8: {exc}") from exc
         results = []
-        for line in Path(args.batch).read_text(encoding="utf-8").splitlines():
+        for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -4,8 +4,7 @@ Covers rational diagonalization by simultaneous row/column pivoting,
 signature/parity/definiteness classification, characteristic vectors mod 2,
 and the full congruence decision: rank/signature/parity for indefinite
 forms, exhaustive short-vector enumeration for definite ones, with the
-negative definite case reduced to the positive one by negation.  A Smith
-normal form solver for integer linear systems rounds out the toolbox.
+negative definite case reduced to the positive one by negation.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (
-    DimensionMismatch,
-    InputError,
     InternalInvariantViolation,
     MalformedInput,
     NotIndefinite,
@@ -33,7 +30,6 @@ from .matrices import (
     congruence,
     identity,
     mat_vec,
-    unimodular_inverse,
 )
 
 EVEN, ODD = "even", "odd"
@@ -173,17 +169,6 @@ def congruent_indefinite(v: SymIntMatrix, w: SymIntMatrix) -> bool:
     if cv.definiteness != INDEFINITE or cw.definiteness != INDEFINITE:
         raise NotIndefinite("both forms must be indefinite")
     return (cv.rank, cv.signature, cv.parity) == (cw.rank, cw.signature, cw.parity)
-
-
-def definite_enumeration_bound(v: SymIntMatrix, r: int) -> int:
-    """||V^{-1}||_1 * R: every x with x^T V x <= R has euclidean norm below it."""
-    if r < 1:
-        raise InputError("enumeration budget R must be >= 1")
-    if classify(v).definiteness != POSITIVE:
-        raise NotPositiveDefinite("bound only applies to positive definite forms")
-    inv = unimodular_inverse(v.rows())
-    norm1 = max(sum(abs(inv[i][j]) for i in range(v.n)) for j in range(v.n))
-    return norm1 * r
 
 
 def _enum_cap() -> Optional[int]:
@@ -347,111 +332,3 @@ def congruent(v: SymIntMatrix, w: SymIntMatrix) -> bool:
     """True iff V = P^T W P for some integral unimodular P."""
     ok, _ = congruent_with_witness(v, w)
     return ok
-
-
-def _smith(a: list[list[int]]):
-    """U A W = D with U, W unimodular and D diagonal with the divisibility chain."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d = [row[:] for row in a]
-    u = identity(m)
-    w = identity(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(m):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(n):
-            w[r][i], w[r][j] = w[r][j], w[r][i]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        if q:
-            d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        if q:
-            for r in range(m):
-                d[r][i] -= q * d[r][j]
-            for r in range(n):
-                w[r][i] -= q * w[r][j]
-
-    t = 0
-    while t < min(m, n):
-        piv = min(
-            ((i, j) for i in range(t, m) for j in range(t, n) if d[i][j] != 0),
-            key=lambda ij: (abs(d[ij[0]][ij[1]]), ij),
-            default=None,
-        )
-        if piv is None:
-            break
-        if piv[0] != t:
-            swap_rows(t, piv[0])
-        if piv[1] != t:
-            swap_cols(t, piv[1])
-        while True:
-            # Clear below and to the right; remainders become the new pivot.
-            off = next((i for i in range(t + 1, m) if d[i][t]), None)
-            if off is not None:
-                row_op(off, t, d[off][t] // d[t][t])
-                if d[off][t]:
-                    swap_rows(t, off)
-                continue
-            off = next((j for j in range(t + 1, n) if d[t][j]), None)
-            if off is not None:
-                col_op(off, t, d[t][off] // d[t][t])
-                if d[t][off]:
-                    swap_cols(t, off)
-                continue
-            bad = next(
-                ((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
-                 if d[i][j] % d[t][t] != 0),
-                None,
-            )
-            if bad is not None:
-                row_op(t, bad[0], -1)  # pull a non-divisible entry into row t
-                continue
-            break
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return d, u, w
-
-
-def smith_solve(a, b) -> Optional[tuple[int, ...]]:
-    """Some integer x with A x = b, or None when no integral solution exists.
-
-    Uses a Smith normal form U A W = D: the system becomes D y = U b with
-    x = W y, solvable iff each pivot divides its target and the remaining
-    targets vanish.
-    """
-    rows = [list(map(int, row)) for row in a]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if any(len(row) != n for row in rows):
-        raise DimensionMismatch("matrix rows have unequal lengths")
-    bvec = [int(x) for x in b]
-    if len(bvec) != m:
-        raise DimensionMismatch(f"vector length {len(bvec)} does not match {m} rows")
-    if m == 0:
-        return ()
-    d, u, w = _smith(rows)
-    c = mat_vec(u, bvec)
-    y = [0] * n
-    for i in range(m):
-        di = d[i][i] if i < n else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di != 0:
-                return None
-            y[i] = c[i] // di
-    x = mat_vec(w, y)
-    if mat_vec(rows, x) != bvec:
-        raise InternalInvariantViolation("smith_solve produced a non-solution")
-    return tuple(x)

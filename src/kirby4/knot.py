@@ -2,14 +2,13 @@
 
 The band sum machinery works on a strand-level model of the diagram:
 crossings hold working arc ids in their four slots, every arc knows its two
-end slots, and components are cyclic arc sequences.  Faces of the
-underlying 4-valent planar map are traced from the counterclockwise slot
-order, and a band between two components is routed along a shortest dual
-path between faces incident to the chosen attachment arcs.  The band
-passes under every strand it meets, so each crossed strand contributes two
-new crossings with the band as under-strand; when the attachment sides are
-incompatible a single half-twist crossing between the two band sides is
-inserted at the far end.
+end slots, and components are cyclic arc sequences.  A component that
+shares a crossing with the running knot is banded onto it in the face
+corner between slots 0 and 1 of that crossing, which the two crossing arcs
+bound, so the band meets no strand; it takes one half-twist crossing when
+the over strand enters at slot 1.  A component sharing no crossing lies in
+a separate diagram piece and is joined by a split fusion.  Each fusion thus
+adds at most one crossing.
 """
 
 from __future__ import annotations
@@ -193,99 +192,39 @@ class _Surgery:
         self.crossings[pos[0]][pos[1]] = arc
         self.ends.setdefault(arc, {})[kind] = pos
 
-    def set_end(self, arc: int, kind: str, pos: tuple[int, int]) -> None:
-        self.ends.setdefault(arc, {})[kind] = pos
+    def join(self, ci: int, cj: int, alpha: int, alphap: int, twist_in=None) -> None:
+        """Band arc alpha of component ci to arc alphap of component cj.
 
-    def same_piece(self, ci: int, cj: int) -> bool:
-        owner = {}
-        for idx, comp in enumerate(self.comps):
-            for a in comp:
-                owner[a] = idx
-        parent = list(range(len(self.comps)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for t in self.crossings:
-            ra, rb = find(owner[t[0]]), find(owner[t[1]])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        return find(ci) == find(cj)
-
-    def faces(self):
-        """Trace the faces of the 4-valent map; return boundaries and side maps.
-
-        A face is an orbit of end slots under: leave through an end, walk the
-        arc to its other end, turn to the clockwise-previous slot.  A face
-        traced while walking an arc tail-to-head is that arc's left face;
-        head-to-tail gives the right face.
+        The band sides replace both arcs: g runs from alpha's tail to
+        alphap's head, h from alphap's tail to alpha's head.  With twist_in
+        set, the sides cross once in a half-twist, h over g and entering at
+        slot twist_in.
         """
-        face_of: dict[tuple[int, int], int] = {}
-        boundaries: list[list[int]] = []
-        left: dict[int, int] = {}
-        right: dict[int, int] = {}
-        for k in range(len(self.crossings)):
-            for s in range(4):
-                if (k, s) in face_of:
-                    continue
-                fid = len(boundaries)
-                arcs: list[int] = []
-                cur = (k, s)
-                while cur not in face_of:
-                    face_of[cur] = fid
-                    arc = self.crossings[cur[0]][cur[1]]
-                    arcs.append(arc)
-                    e = self.ends[arc]
-                    if e["tail"] == cur:
-                        other = e["head"]
-                        left[arc] = fid
-                    else:
-                        other = e["tail"]
-                        right[arc] = fid
-                    cur = (other[0], (other[1] - 1) % 4)
-                boundaries.append(sorted(set(arcs)))
-        return boundaries, left, right
+        ta, ha = self.ends[alpha]["tail"], self.ends[alpha]["head"]
+        tb, hb = self.ends[alphap]["tail"], self.ends[alphap]["head"]
+        g, h = [self.fresh()], [self.fresh()]
+        if twist_in is not None:
+            g.append(self.fresh())
+            h.insert(0, self.fresh())
+            kt = len(self.crossings)
+            self.crossings.append([0, 0, 0, 0])
+            self.over_in.append(twist_in)
+            self.rewire((kt, 0), g[0], "head")
+            self.rewire((kt, 2), g[1], "tail")
+            self.rewire((kt, twist_in), h[0], "head")
+            self.rewire((kt, 4 - twist_in), h[1], "tail")
+        self.rewire(ta, g[0], "tail")
+        self.rewire(hb, g[-1], "head")
+        self.rewire(tb, h[0], "tail")
+        self.rewire(ha, h[-1], "head")
+        a_arcs, b_arcs = self.comps[ci], self.comps[cj]
+        ia, ib = a_arcs.index(alpha), b_arcs.index(alphap)
+        rot_a = a_arcs[ia:] + a_arcs[:ia]
+        rot_b = b_arcs[ib:] + b_arcs[:ib]
+        self.comps[ci] = g + rot_b[1:] + h + rot_a[1:]
+        del self.comps[cj]
 
-    def _dual_path(self, alpha, alphap, boundaries, left, right):
-        """Shortest face path from a side of alpha to a side of alphap."""
-        sources = [left[alpha]]
-        if right[alpha] != left[alpha]:
-            sources.append(right[alpha])
-        targets = {left[alphap], right[alphap]}
-        prev: dict[int, Optional[tuple[int, int]]] = {f: None for f in sources}
-        goal = next((f for f in sources if f in targets), None)
-        queue = list(sources)
-        qi = 0
-        while goal is None and qi < len(queue):
-            f = queue[qi]
-            qi += 1
-            for x in boundaries[f]:
-                if x == alpha or x == alphap or left[x] == right[x]:
-                    continue
-                g = right[x] if f == left[x] else left[x]
-                if g in prev:
-                    continue
-                prev[g] = (f, x)
-                if g in targets:
-                    goal = g
-                    break
-                queue.append(g)
-        if goal is None:
-            raise InternalInvariantViolation("no dual path between band endpoints")
-        fpath = [goal]
-        xpath: list[int] = []
-        while prev[fpath[-1]] is not None:
-            f, x = prev[fpath[-1]]
-            xpath.append(x)
-            fpath.append(f)
-        fpath.reverse()
-        xpath.reverse()
-        return fpath, xpath
-
-    def fuse_trivial(self, ci: int, cj: int, alpha=None, alphap=None) -> None:
+    def fuse_trivial(self, ci: int, cj: int, alpha, alphap) -> None:
         """Band two components whose diagrams share no face: a split fusion."""
         a_arcs, b_arcs = self.comps[ci], self.comps[cj]
         if not b_arcs:
@@ -297,122 +236,27 @@ class _Surgery:
             self.comps[ci] = b_arcs
             del self.comps[cj]
             return
-        alpha = min(a_arcs) if alpha is None else alpha
-        alphap = min(b_arcs) if alphap is None else alphap
-        ta, ha = self.ends[alpha]["tail"], self.ends[alpha]["head"]
-        tb, hb = self.ends[alphap]["tail"], self.ends[alphap]["head"]
-        g0, h0 = self.fresh(), self.fresh()
-        self.rewire(ta, g0, "tail")
-        self.rewire(hb, g0, "head")
-        self.rewire(tb, h0, "tail")
-        self.rewire(ha, h0, "head")
-        ia, ib = a_arcs.index(alpha), b_arcs.index(alphap)
-        rot_a = a_arcs[ia:] + a_arcs[:ia]
-        rot_b = b_arcs[ib:] + b_arcs[:ib]
-        self.comps[ci] = [g0] + rot_b[1:] + [h0] + rot_a[1:]
-        del self.comps[cj]
+        self.join(ci, cj, alpha, alphap)
         self.derivation.append(f"split fusion at arcs ({alpha},{alphap})")
 
-    def fuse_banded(self, ci: int, cj: int, alpha=None, alphap=None) -> None:
-        """Band two components in one diagram piece along a shortest dual path."""
-        a_arcs, b_arcs = self.comps[ci], self.comps[cj]
-        alpha = min(a_arcs) if alpha is None else alpha
-        alphap = min(b_arcs) if alphap is None else alphap
-        boundaries, left, right = self.faces()
-        fpath, xpath = self._dual_path(alpha, alphap, boundaries, left, right)
-        p = len(xpath)
-        side1_left = fpath[0] == left[alpha]
-        arrive_left = fpath[-1] == left[alphap]
-        twist = side1_left != arrive_left
+    def fuse_banded(self, ci: int, cj: int, k: int) -> None:
+        """Band two components in the face corner between slots 0 and 1 of crossing k.
 
-        ta, ha = self.ends[alpha]["tail"], self.ends[alpha]["head"]
-        tb, hb = self.ends[alphap]["tail"], self.ends[alphap]["head"]
-        g = [self.fresh() for _ in range(p + 1)]
-        h = [self.fresh() for _ in range(p + 1)]
-
-        repl: dict[int, list[int]] = {}
-        for t, x in enumerate(xpath, start=1):
-            x_east = fpath[t - 1] == right[x]  # x crosses the core left-to-right
-            x0, x1, x2 = x, self.fresh(), self.fresh()
-            first_is_side1 = x_east == side1_left
-            s1_in, s1_out = (x0, x1) if first_is_side1 else (x1, x2)
-            s2_in, s2_out = (x1, x2) if first_is_side1 else (x0, x1)
-            k1 = len(self.crossings)
-            if x_east:
-                self.crossings.append([g[t - 1], s1_out, g[t], s1_in])
-                self.over_in.append(3)
-            else:
-                self.crossings.append([g[t - 1], s1_in, g[t], s1_out])
-                self.over_in.append(1)
-            k2 = len(self.crossings)
-            if x_east:
-                self.crossings.append([h[p - t], s2_in, h[p - t + 1], s2_out])
-                self.over_in.append(1)
-            else:
-                self.crossings.append([h[p - t], s2_out, h[p - t + 1], s2_in])
-                self.over_in.append(3)
-            first_k, second_k = (k1, k2) if first_is_side1 else (k2, k1)
-            old_head = self.ends[x]["head"]
-            # x keeps its tail; x2 inherits the head slot; x1 sits between.
-            self.set_end(x0, "head", (first_k, self.over_in[first_k]))
-            self.set_end(x1, "tail", (first_k, 4 - self.over_in[first_k]))
-            self.set_end(x1, "head", (second_k, self.over_in[second_k]))
-            self.set_end(x2, "tail", (second_k, 4 - self.over_in[second_k]))
-            self.rewire(old_head, x2, "head")
-            self.set_end(g[t - 1], "head", (k1, 0))
-            self.set_end(g[t], "tail", (k1, 2))
-            self.set_end(h[p - t], "head", (k2, 0))
-            self.set_end(h[p - t + 1], "tail", (k2, 2))
-            repl[x] = [x0, x1, x2]
-
-        side1 = list(g)
-        side2 = list(h)
-        if twist:
-            # Half-twist between the two band sides, placed at the far end;
-            # its chirality is forced by which side of the core side1 runs on.
-            gpb, h0a = self.fresh(), self.fresh()
-            kt = len(self.crossings)
-            if side1_left:
-                self.crossings.append([g[p], h[0], gpb, h0a])
-                self.over_in.append(3)
-                self.set_end(h[0], "tail", (kt, 1))
-                self.set_end(h0a, "head", (kt, 3))
-            else:
-                self.crossings.append([g[p], h0a, gpb, h[0]])
-                self.over_in.append(1)
-                self.set_end(h0a, "head", (kt, 1))
-                self.set_end(h[0], "tail", (kt, 3))
-            self.set_end(g[p], "head", (kt, 0))
-            self.set_end(gpb, "tail", (kt, 2))
-            self.rewire(hb, gpb, "head")
-            self.rewire(tb, h0a, "tail")
-            side1.append(gpb)
-            side2.insert(0, h0a)
-        else:
-            self.rewire(hb, g[p], "head")
-            self.rewire(tb, h[0], "tail")
-        self.rewire(ta, g[0], "tail")
-        self.rewire(ha, h[p], "head")
-
-        def expand(arcs):
-            out = []
-            for a in arcs:
-                out.extend(repl.get(a, [a]))
-            return out
-
-        for idx in range(len(self.comps)):
-            if idx != ci and idx != cj:
-                self.comps[idx] = expand(self.comps[idx])
-        a_arcs = expand(a_arcs)
-        b_arcs = expand(b_arcs)
-        ia, ib = a_arcs.index(alpha), b_arcs.index(alphap)
-        rot_a = a_arcs[ia:] + a_arcs[:ia]
-        rot_b = b_arcs[ib:] + b_arcs[:ib]
-        self.comps[ci] = side1 + rot_b[1:] + side2 + rot_a[1:]
-        del self.comps[cj]
+        The arcs in slots 0 and 1, one from each component, bound that
+        corner, so the band crosses no strand.  When the over strand enters
+        at slot 1 both arcs run into the crossing, the corner lies on
+        opposite sides of them, and the band takes a half-twist, whose
+        chirality depends on which of the two arcs the running knot holds.
+        """
+        t = self.crossings[k]
+        alpha, alphap = (t[0], t[1]) if t[0] in self.comps[ci] else (t[1], t[0])
+        twist_in = None
+        if self.over_in[k] == 1:
+            twist_in = 3 if alpha == t[1] else 1
+        self.join(ci, cj, alpha, alphap, twist_in)
         self.derivation.append(
-            f"banded fusion at arcs ({alpha},{alphap}), {p} strands crossed,"
-            f" half-twist={'yes' if twist else 'no'}"
+            f"banded fusion at crossing {k}, arcs ({alpha},{alphap}),"
+            f" half-twist={'no' if twist_in is None else 'yes'}"
         )
 
 
@@ -424,12 +268,16 @@ def band_sum(
 ) -> KnotDiagram:
     """Join all components of a diagram into one knot by band sums.
 
-    Components are banded one at a time onto a running connected sum; by
-    default the fusion order is the component order and the band attaches at
-    the lowest-numbered arc of each side.  `order` permutes the components
-    first and `arc_offset` rotates the attachment arc choice; any choice
-    yields a valid band sum, so invariants downstream must not depend on it.
-    The empty diagram yields the crossingless unknot.
+    The first component is the running knot.  Each step bands onto it the
+    earliest remaining component that shares a crossing with it, at one of
+    their shared crossings, which adds at most one crossing; a component
+    sharing none is joined by a split fusion at one arc of each side.
+    `order` permutes the components first, which picks the starting
+    component and the preference among candidates; `arc_offset` rotates the
+    shared crossing used (in crossing order), or the attachment arcs of a
+    split fusion (in arc order).  Any choice yields a valid band sum, so
+    invariants downstream must not depend on it.  The empty diagram yields
+    the crossingless unknot.
     """
     st = _Surgery(sub)
     if order is not None:
@@ -444,11 +292,17 @@ def band_sum(
         return sorted(arcs)[arc_offset % len(arcs)] if arcs else None
 
     while len(st.comps) > 1:
-        a, b = pick(st.comps[0]), pick(st.comps[1])
-        if st.same_piece(0, 1):
-            st.fuse_banded(0, 1, a, b)
+        owner = {a: i for i, comp in enumerate(st.comps) for a in comp}
+        shared: dict[int, list[int]] = {}
+        for k, t in enumerate(st.crossings):
+            pair = {owner[t[0]], owner[t[1]]}
+            if 0 in pair and len(pair) == 2:
+                shared.setdefault(max(pair), []).append(k)
+        if shared:
+            j = min(shared)
+            st.fuse_banded(0, j, shared[j][arc_offset % len(shared[j])])
         else:
-            st.fuse_trivial(0, 1, a, b)
+            st.fuse_trivial(0, 1, pick(st.comps[0]), pick(st.comps[1]))
 
     cyc = st.comps[0]
     if not cyc:

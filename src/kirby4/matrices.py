@@ -1,16 +1,14 @@
 """Exact integer matrix utilities shared across the package.
 
 All arithmetic is arbitrary precision: determinants use fraction-free
-(Bareiss) elimination and inverses are computed over exact rationals.
-No floating point anywhere.
+(Bareiss) elimination.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import DimensionMismatch, MalformedInput, NotUnimodular
+from .errors import DimensionMismatch, MalformedInput
 
 IntRows = tuple[tuple[int, ...], ...]
 
@@ -114,33 +112,3 @@ def bareiss_det(rows: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def rational_inverse(rows) -> list[list[Fraction]]:
-    """Exact inverse over the rationals via Gauss-Jordan elimination."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise NotUnimodular("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = m[col][col]
-        m[col] = [x / f for x in m[col]]
-        inv[col] = [x / f for x in inv[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
-
-def unimodular_inverse(rows) -> list[list[int]]:
-    """Integer inverse of a matrix with determinant +-1."""
-    if bareiss_det([list(r) for r in rows]) not in (1, -1):
-        raise NotUnimodular("inverse over the integers needs determinant +-1")
-    inv = rational_inverse(rows)
-    return [[int(x) for x in row] for row in inv]

@@ -161,6 +161,30 @@ def wirtinger_determinant_recount(crossings) -> int:
     return abs(int(det))
 
 
+def pd_face_count(crossings) -> int:
+    """Faces of the 4-valent map of a PD code, traced from scratch: leave a
+    crossing through a slot, walk the arc to its other end, turn to the
+    previous slot there.  A connected diagram with n crossings is planar
+    exactly when it has n + 2 faces."""
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for k, t in enumerate(crossings):
+        for s, a in enumerate(t):
+            ends.setdefault(a, []).append((k, s))
+    seen: set[tuple[int, int]] = set()
+    faces = 0
+    for start in ((k, s) for k in range(len(crossings)) for s in range(4)):
+        if start in seen:
+            continue
+        faces += 1
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            first, second = ends[crossings[cur[0]][cur[1]]]
+            k, s = second if first == cur else first
+            cur = (k, (s - 1) % 4)
+    return faces
+
+
 def random_unimodular(rng: random.Random, n: int, steps: int = 4):
     """Product of a few elementary matrices: unimodular with small entries."""
     q = mat_identity(n)

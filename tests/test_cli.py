@@ -122,6 +122,16 @@ def test_batch(fx, capsys, tmp_path):
     assert verdicts == [False, True]
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe"], ids=["missing", "not_utf8"])
+def test_batch_unreadable_is_input_error(capsys, tmp_path, content):
+    pairs = tmp_path / "pairs.tsv"
+    if content is not None:
+        pairs.write_bytes(content)
+    code = run(["homeo", "--batch", str(pairs)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_json_report_round_trips(fx, capsys):
     code = run(["--json", "homeo", fx("cp2"), fx("chern")])
     assert code == 0

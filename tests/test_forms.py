@@ -1,11 +1,8 @@
-"""Form algebra: diagonalization, classification, congruence, Smith solving."""
-
-import itertools
+"""Form algebra: diagonalization, classification, congruence."""
 
 import pytest
 
 from kirby4.errors import (
-    DimensionMismatch,
     NotIndefinite,
     NotPositiveDefinite,
     NotUnimodular,
@@ -24,10 +21,8 @@ from kirby4.forms import (
     congruent_definite,
     congruent_indefinite,
     congruent_with_witness,
-    definite_enumeration_bound,
     diagonalize_over_Q,
     short_vectors,
-    smith_solve,
 )
 from kirby4.matrices import SymIntMatrix, bareiss_det
 
@@ -121,24 +116,6 @@ class TestIndefinite:
             congruent_indefinite(I(2), I(2))
 
 
-class TestEnumerationBound:
-    def test_identity(self):
-        assert definite_enumeration_bound(I(3), 1) == 1
-
-    def test_worked_example(self):
-        assert definite_enumeration_bound(S([[2, 1], [1, 1]]), 2) == 6
-
-    def test_e8_against_rational_inverse(self):
-        inv = fraction_inverse(E8_MATRIX.rows())
-        assert all(x.denominator == 1 for row in inv for x in row)
-        norm1 = max(sum(abs(int(inv[i][j])) for i in range(8)) for j in range(8))
-        assert definite_enumeration_bound(E8_MATRIX, 2) == 2 * norm1
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            definite_enumeration_bound(H, 1)
-
-
 class TestShortVectors:
     def test_identity_unit_vectors(self):
         vecs = short_vectors(I(4), 1)
@@ -148,8 +125,11 @@ class TestShortVectors:
         assert len(vecs) == 8
 
     def test_within_euclidean_bound(self):
+        # Every x with x^T V x <= R has euclidean norm at most ||V^{-1}||_1 * R.
         v = S([[2, 1], [1, 1]])
-        bound = definite_enumeration_bound(v, 2)
+        inv = fraction_inverse(v.rows())
+        bound = 2 * max(sum(abs(inv[i][j]) for i in range(2)) for j in range(2))
+        assert bound == 6
         for x in short_vectors(v, 2):
             assert sum(a * a for a in x) <= bound * bound
 
@@ -218,52 +198,6 @@ class TestCongruent:
     def test_not_unimodular_rejected(self):
         with pytest.raises(NotUnimodular):
             congruent(S([[2]]), S([[1]]))
-
-
-class TestSmithSolve:
-    def test_scalar(self):
-        assert smith_solve([[2]], [4]) == (2,)
-        assert smith_solve([[2]], [3]) is None
-
-    def test_worked_example(self):
-        assert smith_solve([[1, 2], [3, 4]], [1, 1]) == (-1, 1)
-
-    def test_rectangular_and_unsolvable(self):
-        x = smith_solve([[1, 2, 3], [2, 4, 6]], [5, 10])
-        assert x is not None
-        assert [sum(a * b for a, b in zip(row, x)) for row in [[1, 2, 3], [2, 4, 6]]] == [5, 10]
-        assert smith_solve([[1, 2, 3], [2, 4, 6]], [5, 11]) is None
-
-    def test_zero_matrix(self):
-        assert smith_solve([[0, 0]], [0]) == (0, 0)
-        assert smith_solve([[0, 0]], [1]) is None
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            smith_solve([[1, 2]], [1, 2])
-
-    def test_agrees_with_small_search(self):
-        cases = [
-            ([[2, 4], [1, 3]], [2, 2]),
-            ([[6, 10], [15, 4]], [2, 3]),
-            ([[2, 4]], [7]),
-            ([[3, 6], [2, 4]], [3, 2]),
-        ]
-        for a, b in cases:
-            got = smith_solve(a, b)
-            brute = None
-            n = len(a[0])
-            for x in itertools.product(range(-10, 11), repeat=n):
-                if all(
-                    sum(r * v for r, v in zip(row, x)) == t for row, t in zip(a, b)
-                ):
-                    brute = x
-                    break
-            assert (got is None) == (brute is None)
-            if got is not None:
-                assert [
-                    sum(r * v for r, v in zip(row, got)) for row in a
-                ] == list(b)
 
 
 def test_congruence_is_an_equivalence_relation():

@@ -2,8 +2,9 @@
 
 import pytest
 
-from kirby4.diagram import FramedLink, linking_matrix
+from kirby4.diagram import FramedLink, linking_matrix, mirror
 from kirby4.errors import LengthMismatch, MalformedInput, NotAKnot
+from kirby4.forms import characteristic_vector
 from kirby4.fixtures import (
     FIGURE_EIGHT_PD,
     TREFOIL_PD,
@@ -22,11 +23,40 @@ from kirby4.knot import (
     mirror_knot,
 )
 
-from conftest import S, wirtinger_determinant_recount
+from conftest import S, pd_face_count, wirtinger_determinant_recount
 
 TREFOIL = KnotDiagram.build(TREFOIL_PD)
 FIG8 = KnotDiagram.build(FIGURE_EIGHT_PD)
 UNKNOT = KnotDiagram.unknot()
+
+# Odd framings that make a path of doubled clasps unimodular; with even
+# off-diagonal entries the whole link is characteristic.
+CHAIN_FRAMINGS = [(1, 1, 3, 1), (1, 1, 1, 3, 3), (1, 1, 1, 3, -1, -1)]
+
+
+def chain_link(framings):
+    n = len(framings)
+    rows = [[0] * n for _ in range(n)]
+    for i, f in enumerate(framings):
+        rows[i][i] = f
+        if i + 1 < n:
+            rows[i][i + 1] = rows[i + 1][i] = 2 * (-1) ** i
+    return clasp_link(S(rows))
+
+
+def chain_sublinks():
+    for framings in CHAIN_FRAMINGS:
+        link = chain_link(framings)
+        for variant in (link, tie_trefoil(link, 0)):
+            c = characteristic_vector(linking_matrix(variant))
+            yield characteristic_sublink(variant, c)
+
+
+def band_variants(link):
+    n = link.component_count()
+    for order in (None, list(reversed(range(n))), list(range(1, n)) + [0]):
+        for offset in range(3):
+            yield band_sum(link, order=order, arc_offset=offset)
 
 
 class TestCharacteristicSublink:
@@ -129,6 +159,35 @@ class TestBandSum:
             k = band_sum(link, arc_offset=offset)
             rebuilt = KnotDiagram.build(k.crossings)
             assert rebuilt.over_in == k.over_in
+
+    def test_each_fusion_adds_at_most_one_crossing(self):
+        for sub in chain_sublinks():
+            bound = len(sub.crossings) + sub.component_count() - 1
+            for k in band_variants(sub):
+                assert len(k.crossings) <= bound, k.derivation
+                assert pd_face_count(k.crossings) == len(k.crossings) + 2
+
+    def test_chain_band_sums_match_recount(self):
+        for sub in chain_sublinks():
+            arfs = set()
+            for k in band_variants(sub):
+                assert alexander_at_minus_one(k) == wirtinger_determinant_recount(k.crossings)
+                arfs.add(arf_invariant(k))
+            assert len(arfs) == 1
+
+    def test_half_twist_taken_both_ways(self):
+        # Every crossing of this clasp is positive, so its over strands enter
+        # at slot 3 and no band twists; in its mirror every band twists, and
+        # the two orders put the running knot on either strand.
+        link = clasp_link(S([[1, 2], [2, 3]]))
+        twists = set()
+        for k in [*band_variants(link), *band_variants(mirror(link))]:
+            assert pd_face_count(k.crossings) == len(k.crossings) + 2
+            assert alexander_at_minus_one(k) == wirtinger_determinant_recount(k.crossings)
+            twists.update(
+                step.rsplit("=", 1)[1] for step in k.derivation if step.startswith("banded")
+            )
+        assert twists == {"yes", "no"}
 
     def test_bad_order_rejected(self):
         with pytest.raises(MalformedInput):
