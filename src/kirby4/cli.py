@@ -205,29 +205,27 @@ def run(argv) -> int:
     start = time.perf_counter()
     try:
         result = args.fn(args)
+        duration_ms = int((time.perf_counter() - start) * 1000)
+        if args.json:
+            result = {
+                "command": args.command,
+                "inputs": [
+                    {
+                        "file": f,
+                        "sha256": hashlib.sha256(_read_bytes(f)).hexdigest(),
+                    }
+                    for f in _input_files(args)
+                ],
+                "result": result,
+                "duration_ms": duration_ms,
+            }
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InternalInvariantViolation, ResourceLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    duration_ms = int((time.perf_counter() - start) * 1000)
-    if args.json:
-        report = {
-            "command": args.command,
-            "inputs": [
-                {
-                    "file": f,
-                    "sha256": hashlib.sha256(_read_bytes(f)).hexdigest(),
-                }
-                for f in _input_files(args)
-            ],
-            "result": result,
-            "duration_ms": duration_ms,
-        }
-        print(_canonical(report))
-    else:
-        print(_canonical(result))
+    print(_canonical(result))
     return 0
 
 

@@ -1,10 +1,12 @@
 """Exact algebra of integral symmetric unimodular forms.
 
-Covers rational diagonalization by simultaneous row/column pivoting,
+Covers diagonalization over Q by a symmetric fraction-free (Bareiss)
+elimination whose entries stay minors of the form,
 signature/parity/definiteness classification, characteristic vectors mod 2,
 and the full congruence decision: rank/signature/parity for indefinite
 forms, exhaustive short-vector enumeration for definite ones, with the
-negative definite case reduced to the positive one by negation.
+negative definite case reduced to the positive one by negation.  A form's
+determinant and class are computed once per `SymIntMatrix` instance.
 """
 
 from __future__ import annotations
@@ -56,31 +58,59 @@ class FormClass:
 
 def _require_unimodular(v: SymIntMatrix) -> None:
     if not v.is_unimodular():
-        raise NotUnimodular(f"determinant {v.det()} is not +-1")
+        raise NotUnimodular(f"determinant {v.det} is not +-1")
 
 
 def diagonalize_over_Q(v: SymIntMatrix) -> tuple[IntRows, SymIntMatrix]:
     """Return integral P with det(P) != 0 and diagonal D = P^T V P.
 
-    Simultaneous row/column pivoting: the k-th column is scaled by the pivot
-    and the pivot column subtracted, and likewise for rows.  A zero pivot is
-    repaired by adding a row/column pair with nonzero pairing; one addition
-    can leave the corner zero again (when v_kk = -2 v_ik), in which case a
-    second addition is guaranteed to fix it.
+    Symmetric fraction-free (Bareiss) elimination.  Before step i the
+    trailing block holds d_i * S, where d_i is the leading principal i x i
+    minor and S the Schur complement of the leading block; a step multiplies
+    by the pivot d_(i+1) and divides exactly by d_i (Sylvester's identity),
+    so every entry of the block and of P is a minor of V and stays under
+    Hadamard's bound.  D_ii = d_i * d_(i+1), so the signs of D are the signs
+    of consecutive leading-minor ratios (Jacobi).  A division that leaves a
+    remainder raises InternalInvariantViolation.  A zero pivot is repaired
+    by adding a trailing row/column pair with nonzero pairing, a unimodular
+    congruence of the trailing indices that keeps the invariant; one
+    addition can leave the corner zero again (when v_kk = -2 v_ik), in which
+    case a second addition is guaranteed to fix it.
     """
     _require_unimodular(v)
     m = v.n
-    a = v.rows()
-    p = identity(m)
+    a = v.rows()  # a[k][k:] is row k of the trailing block (upper triangle)
+    cols = identity(m)  # cols[k] is column k of P
+    # Row k of a and column k of P hold their values for d_i = scale[k].  A
+    # step whose multiplier a[i][k] is zero only rescales them by
+    # d_(i+1) / d_i, so the rescaling is deferred to `current`.
+    scale = [1] * m
+    diag = []
+    prev = 1
+
+    def exact(xs, d):
+        qs = [x // d for x in xs]
+        if [q * d for q in qs] != xs:
+            raise InternalInvariantViolation("inexact division in Bareiss elimination")
+        return qs
+
+    def current(k):
+        if scale[k] != prev:
+            a[k][k:] = exact([prev * x for x in a[k][k:]], scale[k])
+            cols[k] = exact([prev * x for x in cols[k]], scale[k])
+            scale[k] = prev
 
     def add_col_row(i, k):
-        for r in range(m):
-            a[r][i] += a[r][k]
-            p[r][i] += p[r][k]
-        for c in range(m):
-            a[i][c] += a[k][c]
+        for r in range(i + 1, k + 1):
+            current(r)
+        row_k = [a[c][k] for c in range(i, k)] + a[k][k:]
+        new = [x + y for x, y in zip(a[i][i:], row_k)]
+        new[0] += new[k - i]
+        a[i][i:] = new
+        cols[i] = [x + y for x, y in zip(cols[i], cols[k])]
 
     for i in range(m):
+        current(i)
         if a[i][i] == 0:
             k = next((k for k in range(i + 1, m) if a[i][k] != 0), None)
             if k is None:
@@ -90,24 +120,34 @@ def diagonalize_over_Q(v: SymIntMatrix) -> tuple[IntRows, SymIntMatrix]:
                 add_col_row(i, k)
             if a[i][i] == 0:
                 raise InternalInvariantViolation("pivot repair failed twice")
-        piv = a[i][i]
+        piv, row_i, col_i = a[i][i], a[i], cols[i]
         for k in range(i + 1, m):
-            f = a[i][k]
-            if f == 0:
-                continue
-            for r in range(m):
-                a[r][k] = piv * a[r][k] - f * a[r][i]
-                p[r][k] = piv * p[r][k] - f * p[r][i]
-            for c in range(m):
-                a[k][c] = piv * a[k][c] - f * a[i][c]
+            f = row_i[k]
+            if f:
+                current(k)
+                a[k][k:] = exact([piv * x - f * y for x, y in zip(a[k][k:], row_i[k:])], prev)
+                cols[k] = exact([piv * x - f * y for x, y in zip(cols[k], col_i)], prev)
+                scale[k] = piv
+        diag.append(prev * piv)
+        prev = piv
     d = SymIntMatrix.from_rows(
-        [[a[i][j] if i == j else 0 for j in range(m)] for i in range(m)]
+        [[diag[i] if i == j else 0 for j in range(m)] for i in range(m)]
     )
-    return tuple(tuple(row) for row in p), d
+    return tuple(zip(*cols)), d
 
 
 def classify(v: SymIntMatrix) -> FormClass:
-    """Rank, signature, parity, and definiteness of a unimodular form."""
+    """Rank, signature, parity, and definiteness of a unimodular form.
+
+    Computed once per matrix instance and kept in its `memo`.
+    """
+    fc = v.memo.get(FormClass)
+    if fc is None:
+        fc = v.memo[FormClass] = _classify(v)
+    return fc
+
+
+def _classify(v: SymIntMatrix) -> FormClass:
     _, d = diagonalize_over_Q(v)
     diag = d.diagonal()
     pos = sum(1 for x in diag if x > 0)
@@ -172,14 +212,17 @@ def congruent_indefinite(v: SymIntMatrix, w: SymIntMatrix) -> bool:
 
 
 def _enum_cap() -> Optional[int]:
-    raw = os.environ.get("KIRBY4_MAX_ENUM")
-    if raw is None or raw == "":
+    """KIRBY4_MAX_ENUM as a count; unset or empty means no cap."""
+    raw = os.environ.get("KIRBY4_MAX_ENUM", "")
+    if raw == "":
         return None
     try:
         cap = int(raw)
     except ValueError as exc:
         raise MalformedInput(f"KIRBY4_MAX_ENUM={raw!r} is not an integer") from exc
-    return cap if cap >= 0 else None
+    if cap < 0:
+        raise MalformedInput(f"KIRBY4_MAX_ENUM={raw!r} is negative")
+    return cap
 
 
 def _ldl(v: SymIntMatrix):
@@ -211,6 +254,7 @@ def short_vectors(v: SymIntMatrix, r: int) -> list[tuple[int, ...]]:
     """
     if classify(v).definiteness != POSITIVE:
         raise NotPositiveDefinite("enumeration only applies to positive definite forms")
+    cap = _enum_cap()
     n = v.n
     if n == 0 or r < 1:
         return []
@@ -241,7 +285,6 @@ def short_vectors(v: SymIntMatrix, r: int) -> list[tuple[int, ...]]:
     for t in reps:
         out.append(t)
         out.append(tuple(-a for a in t))
-    cap = _enum_cap()
     if cap is not None and len(out) > cap:
         raise ResourceLimitExceeded(
             f"{len(out)} enumeration candidates exceed KIRBY4_MAX_ENUM={cap}"

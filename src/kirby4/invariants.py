@@ -48,7 +48,7 @@ def intersection_form(link: FramedLink) -> SymIntMatrix:
     v = linking_matrix(link)
     if not v.is_unimodular():
         raise NotUnimodular(
-            f"linking matrix determinant {v.det()} is not +-1;"
+            f"linking matrix determinant {v.det} is not +-1;"
             " the diagram does not present a closed 4-manifold"
         )
     return v

@@ -6,7 +6,8 @@ All arithmetic is arbitrary precision: determinants use fraction-free
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DimensionMismatch, MalformedInput
 
@@ -15,10 +16,17 @@ IntRows = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class SymIntMatrix:
-    """Symmetric matrix with arbitrary-precision integer entries."""
+    """Symmetric matrix with arbitrary-precision integer entries.
+
+    `det` and the analyses other modules keep in `memo` (the `FormClass` of
+    `forms.classify`) are computed at most once per instance.  They live on
+    the instance alone: an equal matrix built separately computes them again,
+    and neither takes part in equality, hashing or repr.
+    """
 
     n: int
     entries: IntRows
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
@@ -51,11 +59,12 @@ class SymIntMatrix:
         rows += [[0] * n + list(other.entries[i]) for i in range(m)]
         return SymIntMatrix.from_rows(rows)
 
+    @cached_property
     def det(self) -> int:
         return bareiss_det(self.rows())
 
     def is_unimodular(self) -> bool:
-        return self.det() in (1, -1)
+        return self.det in (1, -1)
 
     def as_dict(self) -> dict:
         return {"n": self.n, "entries": [list(r) for r in self.entries]}

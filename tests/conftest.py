@@ -38,6 +38,18 @@ def sandwich(p, v):
     return mul(mul(tr(p), v), p)
 
 
+def block_diag(*blocks):
+    """Rows of the block-diagonal matrix with the given square blocks."""
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off:off + len(row)] = row
+        off += len(b)
+    return out
+
+
 def fraction_det(rows) -> Fraction:
     n = len(rows)
     m = [[Fraction(x) for x in row] for row in rows]

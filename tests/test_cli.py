@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kirby4 import cli
 from kirby4.cli import run
 from kirby4.fixtures import corpus, fixture_path, shipped_fixtures, write_corpus
 
@@ -169,6 +170,32 @@ def test_enum_cap_exits_2(fx, capsys, monkeypatch, tmp_path):
     assert "KIRBY4_MAX_ENUM" in capsys.readouterr().err
     monkeypatch.setenv("KIRBY4_MAX_ENUM", "1000")
     assert run(["form-compare", str(a), str(a)]) == 0
+
+
+@pytest.mark.parametrize("value,code", [("-1", 1), ("two", 1), ("", 0), ("0", 2)])
+def test_enum_cap_values(capsys, monkeypatch, tmp_path, value, code):
+    a = tmp_path / "i2.json"
+    a.write_text('{"entries": [[1,0],[0,1]]}')
+    monkeypatch.setenv("KIRBY4_MAX_ENUM", value)
+    assert run(["form-compare", str(a), str(a)]) == code
+    if code:
+        assert "KIRBY4_MAX_ENUM" in capsys.readouterr().err
+
+
+def test_json_report_input_vanishing_mid_run_is_input_error(capsys, monkeypatch, tmp_path):
+    matrix = tmp_path / "h.json"
+    matrix.write_text('{"n": 2, "entries": [[0,1],[1,0]]}')
+    classify = cli.classify
+
+    def classify_then_delete(v):
+        matrix.unlink()
+        return classify(v)
+
+    monkeypatch.setattr(cli, "classify", classify_then_delete)
+    assert run(["--json", "classify", str(matrix)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read")
 
 
 def test_fixture_path_helper():

@@ -69,6 +69,80 @@ class TestDiagonalize:
             diagonalize_over_Q(S([[2]]))
 
 
+def hadamard_bits(v: SymIntMatrix) -> int:
+    """2 * sum_j ceil(log2 ||row_j||) + 2: bits of any product of two minors of v."""
+    ceil_log2_norm = lambda sq: ((sq - 1).bit_length() + 1) // 2  # noqa: E731
+    return 2 * sum(ceil_log2_norm(sum(x * x for x in row)) for row in v.entries) + 2
+
+
+class TestBoundedGrowth:
+    """The elimination keeps every entry a minor of V (Hadamard bound)."""
+
+    @pytest.mark.parametrize("name", ["dense_rank24", "k3_heavy"])
+    def test_diagonal_within_hadamard_bound(self, name):
+        import random
+
+        from conftest import block_diag, random_unimodular
+
+        if name == "dense_rank24":
+            base, signature = block_diag(*([[[1]]] * 13 + [[[-1]]] * 11)), 2
+            q = random_unimodular(random.Random(1), 24, steps=200)
+        else:
+            minus_e8 = [[-x for x in row] for row in E8_MATRIX.rows()]
+            base, signature = block_diag(minus_e8, minus_e8, *[H.rows()] * 3), -16
+            q = random_unimodular(random.Random(1), 22, steps=22)
+        v = S(sandwich(q, base))
+        p, d = diagonalize_over_Q(v)
+        assert sandwich([list(r) for r in p], v.rows()) == d.rows()
+        diag = d.diagonal()
+        assert sum(x > 0 for x in diag) - sum(x < 0 for x in diag) == signature
+        assert max(abs(x).bit_length() for x in diag) <= hadamard_bits(v)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of diagonalize_over_Q and bareiss_det calls, by function name."""
+    from collections import Counter
+
+    from kirby4 import forms, matrices
+
+    counts = Counter()
+    for mod, name in ((forms, "diagonalize_over_Q"), (matrices, "bareiss_det")):
+        def counted(*args, _fn=getattr(mod, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+class TestComputedOncePerInstance:
+    def test_classify_twice_diagonalizes_once(self, calls):
+        v = S([[0, 1, 0], [1, 0, 1], [0, 1, 1]])
+        assert classify(v) == classify(v)
+        assert calls["diagonalize_over_Q"] == 1
+        assert calls["bareiss_det"] == 1
+
+    def test_equal_distinct_instance_is_analysed_again(self, calls):
+        rows = [[0, 1, 0], [1, 0, 1], [0, 1, 1]]
+        v, w = S(rows), S(rows)
+        assert classify(v) == classify(w)
+        assert calls["diagonalize_over_Q"] == 2
+        assert v == w and hash(v) == hash(w) and repr(v) == repr(w)
+
+    def test_indefinite_congruence_analyses_each_form_once(self, calls):
+        import random
+
+        from conftest import random_unimodular
+
+        base = [[int(i == j) * (1 if i < 5 else -1) for j in range(8)] for i in range(8)]
+        v = S(sandwich(random_unimodular(random.Random(2), 8, steps=12), base))
+        w = S(sandwich(random_unimodular(random.Random(3), 8, steps=12), base))
+        assert congruent_with_witness(v, w) == (True, None)
+        assert calls["diagonalize_over_Q"] <= 2
+        assert calls["bareiss_det"] <= 2
+
+
 class TestClassify:
     def test_hyperbolic(self):
         fc = classify(H)
