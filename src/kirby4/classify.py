@@ -68,11 +68,20 @@ def homeomorphic_oriented(
     manifolds are asserted smooth: ks vanishes and definite forms are
     compared by their classification alone.
     """
+    return _compare(_analyse(left, smooth), right, smooth)
+
+
+def _analyse(link: FramedLink, smooth: bool):
+    """The form (smooth) or the full invariant bundle of one side."""
+    return intersection_form(link) if smooth else kirby_siebenmann(link)
+
+
+def _compare(li, right: FramedLink, smooth: bool) -> Verdict:
+    """The oriented decision against `right`, given the left side's analysis."""
     if smooth:
-        lv, rv = intersection_form(left), intersection_form(right)
-        ok = _smooth_forms_match(lv, rv)
+        ok = _smooth_forms_match(li, intersection_form(right))
         return Verdict(ok, True, None, None, None, MATCH if ok else FORMS_NOT_CONGRUENT)
-    li, ri = kirby_siebenmann(left), kirby_siebenmann(right)
+    ri = kirby_siebenmann(right)
     if li.ks != ri.ks:
         return Verdict(False, True, li, ri, None, KS_DIFFER)
     ok, witness = congruent_with_witness(li.form, ri.form)
@@ -86,14 +95,16 @@ def homeomorphic_unoriented(
     """Decide homeomorphism disregarding orientations.
 
     Runs the oriented test as given, then against the mirror of the second
-    diagram; a match either way means homeomorphic, and the reason records
-    which pass succeeded.
+    diagram, analysing the first diagram once for both passes; a match
+    either way means homeomorphic, and the reason records which pass
+    succeeded.
     """
-    first = homeomorphic_oriented(left, right, smooth=smooth)
+    li = _analyse(left, smooth)
+    first = _compare(li, right, smooth)
     if first.homeomorphic:
         return Verdict(True, False, first.left, first.right,
                        first.congruence_witness, MATCH)
-    second = homeomorphic_oriented(left, mirror(right), smooth=smooth)
+    second = _compare(li, mirror(right), smooth)
     if second.homeomorphic:
         return Verdict(True, False, second.left, second.right,
                        second.congruence_witness, MATCH_AFTER_REVERSAL)

@@ -4,9 +4,14 @@ Covers diagonalization over Q by a symmetric fraction-free (Bareiss)
 elimination whose entries stay minors of the form,
 signature/parity/definiteness classification, characteristic vectors mod 2,
 and the full congruence decision: rank/signature/parity for indefinite
-forms, exhaustive short-vector enumeration for definite ones, with the
-negative definite case reduced to the positive one by negation.  A form's
-determinant and class are computed once per `SymIntMatrix` instance.
+forms; for definite ones, "reduce, then enumerate": integral LLL on both
+forms, an integer Fincke-Pohst enumeration of short vectors read from the
+same elimination, a rejection when the norm counts differ, and an exhaustive
+backtracking search whose witness is the first one in the canonical order
+of the *reduced* basis.  The negative definite case is reduced to the
+positive one by negation.  A form's determinant, class and elimination are
+computed once per `SymIntMatrix` instance; -V takes its determinant and
+class from V's.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .errors import (
@@ -31,11 +36,14 @@ from .matrices import (
     bareiss_det,
     congruence,
     identity,
+    mat_mul,
     mat_vec,
+    transpose,
 )
 
 EVEN, ODD = "even", "odd"
 POSITIVE, NEGATIVE, INDEFINITE = "positive", "negative", "indefinite"
+_FACTOR = "factor"  # memo key of the pivot rows and D of diagonalize_over_Q
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,11 @@ def diagonalize_over_Q(v: SymIntMatrix) -> tuple[IntRows, SymIntMatrix]:
     congruence of the trailing indices that keeps the invariant; one
     addition can leave the corner zero again (when v_kk = -2 v_ik), in which
     case a second addition is guaranteed to fix it.
+
+    The rows of the block at pivot time, a_j (row j, zero left of column j,
+    with a_jj = d_(j+1)), are kept in `v.memo` with D: when no pivot needed
+    repair, as for every positive definite form, they factor the form as
+    x^T V x = sum_j (a_j . x)^2 / D_jj, which `short_vectors` enumerates.
     """
     _require_unimodular(v)
     m = v.n
@@ -86,6 +99,7 @@ def diagonalize_over_Q(v: SymIntMatrix) -> tuple[IntRows, SymIntMatrix]:
     # d_(i+1) / d_i, so the rescaling is deferred to `current`.
     scale = [1] * m
     diag = []
+    factor = []  # row i of the block at pivot time, from column i on
     prev = 1
 
     def exact(xs, d):
@@ -121,6 +135,7 @@ def diagonalize_over_Q(v: SymIntMatrix) -> tuple[IntRows, SymIntMatrix]:
             if a[i][i] == 0:
                 raise InternalInvariantViolation("pivot repair failed twice")
         piv, row_i, col_i = a[i][i], a[i], cols[i]
+        factor.append(row_i[i:])
         for k in range(i + 1, m):
             f = row_i[k]
             if f:
@@ -130,6 +145,7 @@ def diagonalize_over_Q(v: SymIntMatrix) -> tuple[IntRows, SymIntMatrix]:
                 scale[k] = piv
         diag.append(prev * piv)
         prev = piv
+    v.memo[_FACTOR] = (factor, diag)
     d = SymIntMatrix.from_rows(
         [[diag[i] if i == j else 0 for j in range(m)] for i in range(m)]
     )
@@ -225,32 +241,108 @@ def _enum_cap() -> Optional[int]:
     return cap
 
 
-def _ldl(v: SymIntMatrix):
-    """V = L D L^T with L unit lower triangular, exact over the rationals."""
+def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIntMatrix]:
+    """Integral LLL reduction (delta = 3/4) of a positive definite unimodular form.
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7,
+    run on the Gram matrix: d[i] is the Gram determinant of the first i
+    basis vectors and lam[k][j] = d[j+1] * mu_kj, so every quantity is an
+    integer.  Returns (U, U^-1, U^T V U) with U unimodular; the columns of U
+    are the reduced basis.  The reduced form takes its class from V, and its
+    factor for `short_vectors` from the final d and lam: these are the pivot
+    rows `diagonalize_over_Q` would compute for it (a_jj = d[j+1], a_jk =
+    lam[k][j]), so it is not eliminated again.
+    """
+    fc = classify(v)
+    if fc.definiteness != POSITIVE:
+        raise NotPositiveDefinite("LLL reduction needs a positive definite form")
     n = v.n
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for j in range(n):
-        s = Fraction(v[j][j]) - sum(lower[j][k] ** 2 * diag[k] for k in range(j))
-        if s <= 0:
-            raise NotPositiveDefinite("LDL pivot not positive")
-        diag[j] = s
-        lower[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            t = Fraction(v[i][j]) - sum(
-                lower[i][k] * lower[j][k] * diag[k] for k in range(j)
-            )
-            lower[i][j] = t / s
-    return lower, diag
+    g = v.rows()  # Gram matrix of the current basis
+    basis = identity(n)  # basis[k] is column k of U
+    inv = identity(n)  # rows of U^-1
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    if n:
+        d[1] = g[0][0]
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        gk, gl = g[k], g[l]
+        kk = gk[k] - 2 * q * gk[l] + q * q * gl[l]
+        for i in range(n):
+            gk[i] -= q * gl[i]
+        gk[k] = kk
+        for i in range(n):
+            g[i][k] = gk[i]
+        basis[k] = [x - q * y for x, y in zip(basis[k], basis[l])]
+        inv[l] = [x + q * y for x, y in zip(inv[l], inv[k])]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        basis[k - 1], basis[k] = basis[k], basis[k - 1]
+        inv[k - 1], inv[k] = inv[k], inv[k - 1]
+        g[k - 1], g[k] = g[k], g[k - 1]
+        for row in g:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        lm = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lm * t) // d[k]
+            lam[i][k - 1] = (b * t + lm * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = g[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        red(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    reduced = SymIntMatrix.from_rows(g)
+    reduced.memo[FormClass] = fc
+    reduced.memo[_FACTOR] = (
+        [[d[j + 1]] + [lam[k][j] for k in range(j + 1, n)] for j in range(n)],
+        [d[j] * d[j + 1] for j in range(n)],
+    )
+    return transpose(basis), inv, reduced
 
 
 def short_vectors(v: SymIntMatrix, r: int) -> list[tuple[int, ...]]:
     """All nonzero integer x with 1 <= x^T V x <= r, in canonical order.
 
+    Fincke-Pohst enumeration in integers only.  The factor is the pivot rows
+    of `diagonalize_over_Q` (for a form `lll_reduce` returned, the same rows
+    read off the reduction): with a_j the row of pivot j and D_jj its
+    diagonal entry, x^T V x = sum_j (a_j . x)^2 / D_jj, so after
+    scaling by L = lcm(D_jj) each level needs one isqrt and integer bounds.
+    Only x whose last nonzero entry is positive are visited; -x follows.
+
     Canonical order: representatives with first nonzero entry positive are
     sorted lexicographically and each is immediately followed by its
-    negation.  Raises ResourceLimitExceeded when KIRBY4_MAX_ENUM caps the
-    candidate count.
+    negation.  `congruent_definite` enumerates the LLL-reduced forms, so its
+    witness is the first one in the canonical order of the reduced basis.
+    Raises ResourceLimitExceeded as soon as the count of vectors found
+    passes KIRBY4_MAX_ENUM.
     """
     if classify(v).definiteness != POSITIVE:
         raise NotPositiveDefinite("enumeration only applies to positive definite forms")
@@ -258,37 +350,39 @@ def short_vectors(v: SymIntMatrix, r: int) -> list[tuple[int, ...]]:
     n = v.n
     if n == 0 or r < 1:
         return []
-    lower, diag = _ldl(v)
-    found: list[tuple[int, ...]] = []
+    if _FACTOR not in v.memo:  # a class carried over from -V, not eliminated here
+        diagonalize_over_Q(v)
+    rows, pivots = v.memo[_FACTOR]
+    scale = math.lcm(*pivots)
+    weight = [scale // p for p in pivots]
+    reps: list[tuple[int, ...]] = []
     x = [0] * n
 
-    def descend(j: int, budget: Fraction):
-        if j < 0:
-            if any(x):
-                found.append(tuple(x))
-            return
-        c = sum(lower[i][j] * x[i] for i in range(j + 1, n))
-        radius = math.isqrt(int(budget / diag[j])) + 1
-        lo = math.floor(-c - radius)
-        hi = math.ceil(-c + radius)
-        for xi in range(lo, hi + 1):
-            y = xi + c
-            used = diag[j] * y * y
-            if used <= budget:
-                x[j] = xi
-                descend(j - 1, budget - used)
+    def descend(j: int, rem: int, zero: bool):
+        # zero: x[j+1:] is all zero, so x[j] starts at 0 (sign symmetry)
+        row = rows[j]
+        a = row[0]
+        c = sum(map(mul, row[1:], x[j + 1:]))
+        s = math.isqrt(rem // weight[j])
+        for xj in range(0 if zero else -((s + c) // a), (s - c) // a + 1):
+            x[j] = xj
+            if j:
+                t = a * xj + c
+                descend(j - 1, rem - weight[j] * t * t, zero and not xj)
+            elif xj or not zero:
+                t = tuple(x)
+                reps.append(t if _canonical(t) else tuple(-b for b in t))
+                if cap is not None and 2 * len(reps) > cap:
+                    raise ResourceLimitExceeded(
+                        f"enumeration candidates exceed KIRBY4_MAX_ENUM={cap}"
+                    )
         x[j] = 0
 
-    descend(n - 1, Fraction(r))
-    reps = sorted(t for t in found if _canonical(t))
+    descend(n - 1, scale * r, True)
     out: list[tuple[int, ...]] = []
-    for t in reps:
+    for t in sorted(reps):
         out.append(t)
-        out.append(tuple(-a for a in t))
-    if cap is not None and len(out) > cap:
-        raise ResourceLimitExceeded(
-            f"{len(out)} enumeration candidates exceed KIRBY4_MAX_ENUM={cap}"
-        )
+        out.append(tuple(-b for b in t))
     return out
 
 
@@ -299,13 +393,22 @@ def _canonical(t: tuple[int, ...]) -> bool:
     return False
 
 
+def _norms(v: SymIntMatrix, xs) -> list[int]:
+    """x^T V x for each x, summing over the nonzero entries of x only."""
+    return [sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, v.entries) if xi) for x in xs]
+
+
 def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
     """Search for integral A with A^T V A = W, both forms positive definite.
 
-    Candidate columns are the vectors x with x^T V x <= max diag(W); column i
-    must hit the norm value W[i][i] exactly and match the Gram pairings with
-    all previously placed columns.  Returns the first witness in canonical
-    enumeration order, or None.
+    Both forms are first LLL-reduced to V' = U_V^T V U_V and W' = U_W^T W U_W.
+    Candidate columns are the short vectors x of V' with x^T V' x <= r, the
+    maximum diagonal entry of W'.  If the norms of V''s and W''s short
+    vectors up to r differ as multisets, the forms are not congruent.
+    Otherwise column i must hit the norm W'[i][i] exactly and match the Gram
+    pairings with all previously placed columns.  The first witness A' in
+    the canonical order of V''s short vectors gives A = U_V A' U_W^-1; None
+    if there is none.
     """
     for m_ in (v, w):
         _require_unimodular(m_)
@@ -316,39 +419,48 @@ def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
     n = v.n
     if n == 0:
         return ()
-    r = max(w.diagonal())
-    cands = short_vectors(v, r)
-    vcand = [mat_vec(v.rows(), list(c)) for c in cands]
-    by_pos = [
-        [idx for idx, c in enumerate(cands)
-         if sum(a * b for a, b in zip(c, vcand[idx])) == w[i][i]]
-        for i in range(n)
-    ]
+    u_v, _, v2 = lll_reduce(v)
+    _, u_w_inv, w2 = lll_reduce(w)
+    r = max(w2.diagonal())
+    cands = short_vectors(v2, r)
+    norms = _norms(v2, cands[::2])
+    if sorted(norms) != sorted(_norms(w2, short_vectors(w2, r)[::2])):
+        return None
+    by_norm: dict[int, list[int]] = {}
+    for k, q in enumerate(norms):
+        by_norm.setdefault(q, []).extend((2 * k, 2 * k + 1))
+    by_pos = [by_norm.get(w2[i][i], []) for i in range(n)]
+    # -A' is a witness whenever A' is, so column 0 takes representatives only.
+    by_pos[0] = by_pos[0][::2]
+    v_rows = v2.rows()
     cols: list[int] = []
+    images: list[list[int]] = []  # V' c for each placed column c
 
     def place(i: int) -> bool:
         for idx in by_pos[i]:
             c = cands[idx]
             if any(
-                sum(a * b for a, b in zip(c, vcand[jdx])) != w[i][jpos]
-                for jpos, jdx in enumerate(cols)
+                sum(map(mul, c, img)) != w2[i][jpos]
+                for jpos, img in enumerate(images)
             ):
                 continue
             cols.append(idx)
+            images.append(mat_vec(v_rows, c))
             if len(cols) == n or place(i + 1):
                 return True
             cols.pop()
+            images.pop()
         return False
 
     if not place(0):
         return None
-    a = tuple(tuple(cands[idx][row] for idx in cols) for row in range(n))
-    check = congruence([list(r_) for r_ in a], v.rows())
-    if [list(r_) for r_ in w.entries] != check:
+    a2 = [[cands[idx][row] for idx in cols] for row in range(n)]
+    a = mat_mul(mat_mul(u_v, a2), u_w_inv)
+    if congruence(a, v.rows()) != w.rows():
         raise InternalInvariantViolation("assembled witness fails A^T V A == W")
-    if bareiss_det([list(r_) for r_ in a]) not in (1, -1):
+    if bareiss_det(a) not in (1, -1):
         raise InternalInvariantViolation("assembled witness is not unimodular")
-    return a
+    return tuple(tuple(r_) for r_ in a)
 
 
 def congruent_with_witness(v: SymIntMatrix, w: SymIntMatrix) -> tuple[bool, Optional[IntRows]]:
@@ -365,10 +477,18 @@ def congruent_with_witness(v: SymIntMatrix, w: SymIntMatrix) -> tuple[bool, Opti
     if cv.definiteness == INDEFINITE:
         return congruent_indefinite(v, w), None
     if cv.definiteness == NEGATIVE:
-        witness = congruent_definite(v.neg(), w.neg())
+        witness = congruent_definite(_negated(v), _negated(w))
     else:
         witness = congruent_definite(v, w)
     return witness is not None, witness
+
+
+def _negated(v: SymIntMatrix) -> SymIntMatrix:
+    """-V for a negative definite V, with its class carried over from V's."""
+    out = v.neg()
+    c = classify(v)
+    out.memo[FormClass] = FormClass(c.rank, -c.signature, c.parity, POSITIVE)
+    return out
 
 
 def congruent(v: SymIntMatrix, w: SymIntMatrix) -> bool:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 from .errors import DimensionMismatch, MalformedInput
 
@@ -19,9 +20,10 @@ class SymIntMatrix:
     """Symmetric matrix with arbitrary-precision integer entries.
 
     `det` and the analyses other modules keep in `memo` (the `FormClass` of
-    `forms.classify`) are computed at most once per instance.  They live on
-    the instance alone: an equal matrix built separately computes them again,
-    and neither takes part in equality, hashing or repr.
+    `forms.classify`, the pivot rows of `forms.diagonalize_over_Q`) are
+    computed at most once per instance.  They live on the instance alone: an
+    equal matrix built separately computes them again, and neither takes part
+    in equality, hashing or repr.  `neg()` hands its determinant on.
     """
 
     n: int
@@ -48,7 +50,10 @@ class SymIntMatrix:
         return [list(r) for r in self.entries]
 
     def neg(self) -> "SymIntMatrix":
-        return SymIntMatrix(self.n, tuple(tuple(-x for x in r) for r in self.entries))
+        """-V, carrying det(-V) = (-1)^n det(V) over instead of eliminating again."""
+        out = SymIntMatrix(self.n, tuple(tuple(-x for x in r) for r in self.entries))
+        out.__dict__["det"] = (-1) ** self.n * self.det
+        return out
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(self.n))
@@ -82,13 +87,13 @@ def mat_mul(a, b) -> list[list[int]]:
     if a and b and len(a[0]) != len(b):
         raise DimensionMismatch("matrix product shape mismatch")
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v) -> list[int]:
     if a and len(a[0]) != len(v):
         raise DimensionMismatch("matrix-vector shape mismatch")
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def congruence(p, v) -> list[list[int]]:

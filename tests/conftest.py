@@ -3,12 +3,14 @@
 The oracles deliberately avoid the library's code paths: congruence is
 checked by exhaustive search over small integer matrices, knot determinants
 by building the Wirtinger matrix directly at t = -1 and eliminating over
-exact rationals, inverses by rational Gauss-Jordan written out here.
+exact rationals, inverses by rational Gauss-Jordan written out here, short
+vectors by walking a whole box, lattice reduction by a rational Gram-Schmidt.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -195,6 +197,48 @@ def pd_face_count(crossings) -> int:
             k, s = second if first == cur else first
             cur = (k, (s - 1) % 4)
     return faces
+
+
+def box_short_vectors(v: SymIntMatrix, r: int):
+    """All nonzero x with x^T V x <= r for positive definite V, in canonical
+    order (first nonzero entry positive, sorted, each followed by -x), found
+    by walking the whole box |x_i| <= sqrt(r (V^-1)_ii).  That bound is
+    Cauchy-Schwarz in the inner product V: x_i = (V^-1 e_i)^T V x."""
+    n = v.n
+    inv = fraction_inverse(v.rows())
+    bounds = [math.isqrt(math.floor(r * inv[i][i])) for i in range(n)]
+    rows = v.rows()
+    found = []
+    x = [0] * n
+
+    def walk(i, q):
+        if i == n:
+            if 1 <= q <= r and next(a for a in x if a) > 0:
+                found.append(tuple(x))
+            return
+        lin = 2 * sum(rows[i][j] * x[j] for j in range(i))
+        for t in range(-bounds[i], bounds[i] + 1):
+            x[i] = t
+            walk(i + 1, q + t * (lin + rows[i][i] * t))
+        x[i] = 0
+
+    walk(0, 0)
+    return [y for t in sorted(found) for y in (t, tuple(-a for a in t))]
+
+
+def lll_conditions_hold(v: SymIntMatrix, delta=Fraction(3, 4)) -> bool:
+    """Size reduction |mu_ij| <= 1/2 and the Lovasz condition of the basis
+    whose Gram matrix is V, from a Gram-Schmidt over exact rationals."""
+    n = v.n
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    b = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (v[i][j] - sum(mu[j][k] * mu[i][k] * b[k] for k in range(j))) / b[j]
+        b[i] = Fraction(v[i][i]) - sum(mu[i][k] ** 2 * b[k] for k in range(i))
+    return all(2 * abs(mu[i][j]) <= 1 for i in range(n) for j in range(i)) and all(
+        b[i] >= (delta - mu[i][i - 1] ** 2) * b[i - 1] for i in range(1, n)
+    )
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 4):

@@ -67,6 +67,17 @@ def test_unoriented_cp2():
     assert v.homeomorphic and v.reason == MATCH_AFTER_REVERSAL
 
 
+def test_unoriented_analyses_the_left_link_once(monkeypatch):
+    from kirby4 import classify
+
+    calls = []
+    ks = classify.kirby_siebenmann
+    monkeypatch.setattr(classify, "kirby_siebenmann", lambda link: calls.append(link) or ks(link))
+    v = homeomorphic_unoriented(unknot(1), unknot(-1))
+    assert v.homeomorphic and v.reason == MATCH_AFTER_REVERSAL
+    assert len(calls) == 3
+
+
 def test_unoriented_rank_mismatch():
     v = homeomorphic_unoriented(unknot(1), hopf_link(0, 0))
     assert not v.homeomorphic

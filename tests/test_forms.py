@@ -22,15 +22,22 @@ from kirby4.forms import (
     congruent_indefinite,
     congruent_with_witness,
     diagonalize_over_Q,
+    lll_reduce,
     short_vectors,
 )
 from kirby4.matrices import SymIntMatrix, bareiss_det
 
 from conftest import (
     S,
+    block_diag,
+    box_short_vectors,
     brute_force_characteristic,
     fraction_det,
     fraction_inverse,
+    lll_conditions_hold,
+    mat_identity,
+    mul,
+    random_unimodular,
     sandwich,
 )
 
@@ -142,6 +149,15 @@ class TestComputedOncePerInstance:
         assert calls["diagonalize_over_Q"] <= 2
         assert calls["bareiss_det"] <= 2
 
+    def test_negation_keeps_the_analysis(self, calls):
+        e8 = E8_MATRIX.rows()
+        assert congruent_with_witness(S(e8), S(e8))[0]
+        positive = dict(calls)
+        calls.clear()
+        minus_e8 = [[-x for x in row] for row in e8]
+        assert congruent_with_witness(S(minus_e8), S(minus_e8))[0]
+        assert dict(calls) == positive == {"diagonalize_over_Q": 2, "bareiss_det": 2}
+
 
 class TestClassify:
     def test_hyperbolic(self):
@@ -222,10 +238,64 @@ class TestShortVectors:
         with pytest.raises(ResourceLimitExceeded):
             short_vectors(I(2), 1)
 
+    def test_cap_stops_the_enumeration(self, monkeypatch):
+        # E8 has 117,360 vectors of norm <= 12; each one found passes through
+        # _canonical once, together with its negation.
+        from kirby4 import forms
+
+        found = []
+        canonical = forms._canonical
+        monkeypatch.setattr(forms, "_canonical", lambda t: found.append(t) or canonical(t))
+        monkeypatch.setenv("KIRBY4_MAX_ENUM", "10")
+        with pytest.raises(ResourceLimitExceeded):
+            short_vectors(E8_MATRIX, 12)
+        assert 10 < 2 * len(found) <= 10 + 2
+
+    @pytest.mark.parametrize("case", range(30))
+    def test_matches_box_oracle(self, case):
+        import random
+
+        rng = random.Random(case)
+        if case < 27:
+            n = 1 + case % 6
+            v = S(sandwich(random_unimodular(rng, n, steps=2 + case % 5), mat_identity(n)))
+            r = 1 + case % 3
+        else:
+            # the dual basis of E8 (diagonal up to 30) under a signed permutation
+            dual = [[int(x) for x in row] for row in fraction_inverse(E8_MATRIX.rows())]
+            perm = rng.sample(range(8), 8)
+            p = [[rng.choice((1, -1)) * int(perm[j] == i) for j in range(8)] for i in range(8)]
+            v, r = S(sandwich(p, dual)), case - 26
+        assert short_vectors(v, r) == box_short_vectors(v, r)
+
+
+class TestLLL:
+    @pytest.mark.parametrize("name", ["I12", "E8", "E8+I1", "E8_dual"])
+    def test_reduced_congruent_form(self, name):
+        import random
+
+        from kirby4 import forms
+
+        base = {"I12": mat_identity(12), "E8": E8_MATRIX.rows(),
+                "E8+I1": block_diag(E8_MATRIX.rows(), [[1]]),
+                "E8_dual": [[int(x) for x in row] for row in fraction_inverse(E8_MATRIX.rows())]}[name]
+        n = len(base)
+        for seed in range(5):
+            v = S(sandwich(random_unimodular(random.Random(seed), n, steps=4 * n), base))
+            u, u_inv, reduced = lll_reduce(v)
+            assert mul(u, u_inv) == mat_identity(n)
+            assert sandwich(u, v.rows()) == reduced.rows()
+            assert lll_conditions_hold(reduced)
+            assert max(reduced.diagonal()) <= 2
+            # the factor handed to the reduced form is its own elimination's
+            fresh = S(reduced.rows())
+            diagonalize_over_Q(fresh)
+            assert reduced.memo[forms._FACTOR] == fresh.memo[forms._FACTOR]
+
 
 class TestCongruentDefinite:
     def test_identity_signed_permutation(self):
-        for n in range(1, 6):
+        for n in range(1, 13):
             w = congruent_definite(I(n), I(n))
             assert w is not None
             assert all(sum(1 for x in row if x) == 1 for row in w)
@@ -244,6 +314,32 @@ class TestCongruentDefinite:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             congruent_definite(H, H)
+
+    def test_i9_vs_e8_plus_i1_both_orders(self):
+        e8_i1 = S(block_diag(E8_MATRIX.rows(), [[1]]))
+        assert congruent_with_witness(I(9), e8_i1) == (False, None)
+        assert congruent_with_witness(e8_i1, I(9)) == (False, None)
+
+    def test_e8_vs_max_diagonal_12_conjugate_both_orders(self, monkeypatch):
+        import random
+
+        from kirby4 import forms
+
+        sizes = []
+        enumerate_ = forms.short_vectors
+        monkeypatch.setattr(forms, "short_vectors",
+                            lambda v, r: sizes.append(len(out := enumerate_(v, r))) or out)
+        q = random_unimodular(random.Random(15), 8, steps=5)
+        conj = S(sandwich(q, E8_MATRIX.rows()))
+        assert max(conj.diagonal()) == 12
+        for v, w in ((E8_MATRIX, conj), (conj, E8_MATRIX)):
+            ok, witness = congruent_with_witness(v, w)
+            assert ok
+            a = [list(r) for r in witness]
+            assert sandwich(a, v.rows()) == w.rows()
+            assert abs(fraction_det(a)) == 1
+        # both forms reduce to a basis of roots: only the 240 roots are enumerated
+        assert sizes == [240] * 4
 
 
 class TestCongruent:
