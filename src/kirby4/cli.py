@@ -27,7 +27,7 @@ from .errors import (
 )
 from .forms import characteristic_vector, classify, congruent_with_witness
 from .invariants import kirby_siebenmann
-from .knot import KnotDiagram, alexander_at_minus_one, arf_invariant
+from .knot import KnotDiagram, _arf_from_determinant, alexander_at_minus_one
 from .matrices import SymIntMatrix
 
 
@@ -95,10 +95,8 @@ def _cmd_arf(args):
     knot = (
         KnotDiagram.build(link.crossings) if link.crossings else KnotDiagram.unknot()
     )
-    return {
-        "arf": arf_invariant(knot),
-        "determinant": alexander_at_minus_one(knot),
-    }
+    det = alexander_at_minus_one(knot)
+    return {"arf": _arf_from_determinant(det), "determinant": det}
 
 
 def _cmd_ks(args):

@@ -7,7 +7,8 @@ occupies slots 1 and 3.  Arc labels run 1..N and are consecutive along each
 component in traversal order, which is how orientation is encoded.
 Crossingless unknot components cannot be expressed in a PD code, so a
 framed link carries an explicit count of them, listed after the PD
-components.
+components.  A code must be planar; `FramedLink.build` counts its faces
+and rejects a virtual diagram.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ class FramedLink:
         if unknots < 0:
             raise MalformedInput("unknot count must be non-negative")
         comps, succ = _pd_components(xs)
+        _check_planar(xs)
         over_in = _resolve_over_directions(xs, succ)
         framings = tuple(int(f) for f in framings)
         total = len(comps) + unknots
@@ -157,6 +159,53 @@ def _pd_components(xs: tuple[Crossing, ...]):
         if succ[a] != c:
             raise InvalidPD(f"under-strand {a}->{c} breaks label succession")
     return [tuple(c) for c in comps], succ
+
+
+def _check_planar(xs: tuple[Crossing, ...]) -> None:
+    """Reject a PD code whose crossings and arcs do not form a plane diagram.
+
+    A corner is a (crossing, slot) pair.  Going from a corner along its arc
+    to the arc's other end and turning one slot counterclockwise there walks
+    the corners of one face.  By Euler's formula a connected piece with v
+    crossings and 2v arcs lies in the plane exactly when it has v + 2 faces,
+    and no piece has more, so the code is planar iff F = n + 2 * pieces.
+    The arc labels must already be known to be 1..2n, each used twice.
+    """
+    n = len(xs)
+    first, mate = [-1] * (2 * n + 1), [0] * (4 * n)
+    corner = 0
+    for t in xs:
+        for arc in t:
+            other = first[arc]
+            if other < 0:
+                first[arc] = corner
+            else:
+                mate[corner], mate[other] = other, corner
+            corner += 1
+    faces = pieces = 0
+    unseen = [True] * (4 * n)
+    for start in range(4 * n):
+        faces += unseen[start]
+        corner = start
+        while unseen[corner]:
+            unseen[corner] = False
+            end = mate[corner]
+            corner = end + 1 if end % 4 != 3 else end - 3
+    reached = [False] * n
+    for k in range(n):
+        if reached[k]:
+            continue
+        pieces += 1
+        reached[k] = True
+        stack = [k]
+        while stack:
+            j = stack.pop()
+            for other in mate[4 * j:4 * j + 4]:
+                if not reached[other // 4]:
+                    reached[other // 4] = True
+                    stack.append(other // 4)
+    if faces != n + 2 * pieces:
+        raise InvalidPD(f"not a planar diagram: {faces} faces, {n} crossings, {pieces} pieces")
 
 
 def _resolve_over_directions(xs: tuple[Crossing, ...], succ) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .diagram import FramedLink, linking_matrix
 from .errors import InternalInvariantViolation, NotUnimodular
 from .forms import characteristic_vector, classify
-from .knot import alexander_at_minus_one, band_sum, characteristic_sublink
+from .knot import _arf_from_determinant, alexander_at_minus_one, band_sum, characteristic_sublink
 from .matrices import SymIntMatrix
 
 
@@ -61,7 +61,7 @@ def kirby_siebenmann(link: FramedLink) -> ManifoldInvariants:
     sub = characteristic_sublink(link, c)
     kc = band_sum(sub)
     det = alexander_at_minus_one(kc)
-    arf = 0 if det % 8 in (1, 7) else 1
+    arf = _arf_from_determinant(det)
     sigma = classify(v).signature
     cvc = sum(
         c[i] * v[i][j] * c[j] for i in range(v.n) for j in range(v.n)

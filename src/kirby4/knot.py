@@ -9,6 +9,9 @@ bound, so the band meets no strand; it takes one half-twist crossing when
 the over strand enters at slot 1.  A component sharing no crossing lies in
 a separate diagram piece and is joined by a split fusion.  Each fusion thus
 adds at most one crossing.
+
+The Alexander polynomial, from which the knot determinant and the Arf
+invariant are read, is one integer determinant by Kronecker substitution.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import (
     MalformedInput,
     NotAKnot,
 )
+from .matrices import bareiss_det
 
 
 @dataclass(frozen=True)
@@ -320,88 +324,24 @@ def band_sum(
 # --- Alexander polynomial via the Wirtinger presentation and Fox calculus ---
 
 
-def _poly_add(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, 0) + c
-        if out[e] == 0:
-            del out[e]
-    return out
-
-
-def _poly_sub(p, q):
-    return _poly_add(p, {e: -c for e, c in q.items()})
-
-
-def _poly_mul(p, q):
-    out: dict[int, int] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _poly_exact_div(num, den):
-    if not num:
-        return {}
-    if not den:
-        raise InternalInvariantViolation("polynomial division by zero")
-    nlo, nhi = min(num), max(num)
-    dlo, dhi = min(den), max(den)
-    nc = [num.get(e, 0) for e in range(nlo, nhi + 1)]
-    dc = [den.get(e, 0) for e in range(dlo, dhi + 1)]
-    qlen = len(nc) - len(dc) + 1
-    if qlen <= 0:
-        raise InternalInvariantViolation("inexact polynomial division")
-    q = [0] * qlen
-    r = nc[:]
-    dlead = dc[-1]
-    for i in range(qlen - 1, -1, -1):
-        lead = r[i + len(dc) - 1]
-        if lead == 0:
-            continue
-        if lead % dlead != 0:
-            raise InternalInvariantViolation("inexact polynomial division")
-        q[i] = lead // dlead
-        for j, dcj in enumerate(dc):
-            r[i + j] -= q[i] * dcj
-    if any(r):
-        raise InternalInvariantViolation("inexact polynomial division")
-    return {nlo - dlo + i: c for i, c in enumerate(q) if c}
-
-
-def _poly_det(mat):
-    """Fraction-free determinant of a matrix of Laurent polynomials."""
-    n = len(mat)
-    if n == 0:
-        return {0: 1}
-    m = [[dict(e) for e in row] for row in mat]
-    sign = 1
-    prev = {0: 1}
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return {}
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _poly_sub(
-                    _poly_mul(m[i][j], m[k][k]), _poly_mul(m[i][k], m[k][j])
-                )
-                m[i][j] = _poly_exact_div(num, prev)
-            m[i][k] = {}
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else {e: -c for e, c in det.items()}
-
-
 def alexander_polynomial(k: KnotDiagram) -> IntPolynomial:
     """Alexander polynomial from Fox derivatives of the Wirtinger presentation.
 
-    Well-defined up to units +-t^k; the crossingless unknot gives 1.
+    Well-defined up to units +-t^k; the crossingless unknot gives 1.  Row i
+    of the matrix is crossing i: t, 1 - t, -1 at its incoming under, over and
+    outgoing under generators if it is positive, t^-1, 1 - t^-1, -1 if not.
+    Delta is the minor without the last row and column.
+
+    Kronecker substitution makes it one integer determinant.  The `shift`
+    negative rows times t read 1, t - 1, -t, so the minor's determinant is
+    P(t) = t^shift Delta(t) of degree < n.  On |t| = 1 every row has squared
+    norm <= 1 + 4 + 1 = 6 (the under generators differ for n >= 2, and an
+    over generator equal to one of them merges two entries into 1, t, -t or
+    -1), so by Hadamard's inequality |P| <= 6^((n-1)/2) there, and so is
+    every coefficient of P, a mean of P(t) t^-j over the circle.  That is
+    below 2^(B-1) for B = bit_length(6^(n-1)) // 2 + 2, so the balanced
+    base-2^B digits of P(2^B), lowest first, are the coefficients of
+    t^-shift, t^(1-shift), ... of Delta.
     """
     n = len(k.crossings)
     if n == 0:
@@ -424,20 +364,37 @@ def alexander_polynomial(k: KnotDiagram) -> IntPolynomial:
         raise InternalInvariantViolation(
             f"{len(gens)} Wirtinger generators for {n} crossings"
         )
-    mat = [[{} for _ in range(n)] for _ in range(n)]
-    for row, t in enumerate(k.crossings):
-        u_in, u_out, over = find(t[0]), find(t[2]), find(t[1])
-        positive = k.over_in[row] == 3
-        tpow = {1: 1} if positive else {-1: 1}
-        contrib = [
-            (col[u_in], tpow),
-            (col[over], _poly_sub({0: 1}, tpow)),
-            (col[u_out], {0: -1}),
-        ]
-        for cidx, poly in contrib:
-            mat[row][cidx] = _poly_add(mat[row][cidx], poly)
-    minor = [row[: n - 1] for row in mat[: n - 1]]
-    return IntPolynomial.from_map(_poly_det(minor))
+    bits = (6 ** (n - 1)).bit_length() // 2 + 2
+    x = 1 << bits
+    shift, minor = 0, []
+    for t, oi in zip(k.crossings[: n - 1], k.over_in):
+        if oi == 3:
+            terms = ((t[0], x), (t[1], 1 - x), (t[2], -1))
+        else:
+            terms = ((t[0], 1), (t[1], x - 1), (t[2], -x))
+            shift += 1
+        row = [0] * n
+        for arc, value in terms:
+            row[col[find(arc)]] += value
+        minor.append(row[: n - 1])
+    p = bareiss_det(minor)
+    coeffs = {}
+    for e in range(-shift, n - shift):
+        coeffs[e] = digit = ((p + (x >> 1)) & (x - 1)) - (x >> 1)
+        p = (p - digit) >> bits
+    if p:
+        raise InternalInvariantViolation("Alexander coefficient exceeds its Hadamard bound")
+    return IntPolynomial.from_map(coeffs)
+
+
+def _arf_from_determinant(d: int) -> int:
+    """Arf invariant from the knot determinant: 1 or 7 mod 8 gives 0, 3 or 5 give 1."""
+    d %= 8
+    if d in (1, 7):
+        return 0
+    if d in (3, 5):
+        return 1
+    raise InternalInvariantViolation(f"knot determinant is {d} mod 8")
 
 
 def alexander_at_minus_one(k: KnotDiagram) -> int:
@@ -449,10 +406,5 @@ def alexander_at_minus_one(k: KnotDiagram) -> int:
 
 
 def arf_invariant(k: KnotDiagram) -> int:
-    """Arf invariant from the determinant: 1 or 7 mod 8 gives 0, 3 or 5 give 1."""
-    d = alexander_at_minus_one(k) % 8
-    if d in (1, 7):
-        return 0
-    if d in (3, 5):
-        return 1
-    raise InternalInvariantViolation(f"knot determinant is {d} mod 8")
+    """Arf invariant of a knot, from its determinant."""
+    return _arf_from_determinant(alexander_at_minus_one(k))

@@ -1,10 +1,11 @@
 """Shared test helpers: independent oracles and random form generators.
 
 The oracles deliberately avoid the library's code paths: congruence is
-checked by exhaustive search over small integer matrices, knot determinants
-by building the Wirtinger matrix directly at t = -1 and eliminating over
-exact rationals, inverses by rational Gauss-Jordan written out here, short
-vectors by walking a whole box, lattice reduction by a rational Gram-Schmidt.
+checked by exhaustive search over small integer matrices, Alexander
+polynomials and knot determinants by building the Wirtinger matrix directly
+at a rational t and eliminating over exact rationals, inverses by rational
+Gauss-Jordan written out here, short vectors by walking a whole box, lattice
+reduction by a rational Gram-Schmidt.
 """
 
 from __future__ import annotations
@@ -138,14 +139,18 @@ def brute_force_characteristic(v: SymIntMatrix):
     return out
 
 
-def wirtinger_determinant_recount(crossings) -> int:
-    """Knot determinant recomputed from scratch: group arcs into Wirtinger
-    generators through over-passages, write the relation matrix directly at
-    t = -1 (where positive and negative crossings give the same row), drop
-    the last row and column, and eliminate over exact rationals."""
+def wirtinger_minor_at(crossings, t) -> Fraction:
+    """Alexander polynomial of a knot's PD code at a nonzero rational t,
+    recomputed from scratch: group arcs into Wirtinger generators through
+    over-passages, read each crossing's sign off the arc labels (positive
+    when the over strand runs from slot 3 to slot 1), write the relation
+    matrix at t with t^-1 as an exact fraction (rows t^s, 1 - t^s, -1 at
+    the incoming under, over and outgoing under generator for sign s, the
+    generators ordered by smallest arc label), drop the last row and column,
+    and eliminate over exact rationals."""
     xs = [tuple(t) for t in crossings]
     if not xs:
-        return 1
+        return Fraction(1)
     parent: dict[int, int] = {}
 
     def rep(a):
@@ -164,13 +169,20 @@ def wirtinger_determinant_recount(crossings) -> int:
     gens = sorted({rep(a) for t in xs for a in t})
     col = {g: i for i, g in enumerate(gens)}
     n = len(xs)
-    mat = [[0] * len(gens) for _ in range(n)]
-    for row, (a, b, c, _) in enumerate(xs):
-        mat[row][col[rep(a)]] += -1
-        mat[row][col[rep(b)]] += 2
+    mat = [[Fraction(0)] * len(gens) for _ in range(n)]
+    for row, (a, b, c, d) in enumerate(xs):
+        ts = Fraction(t) if d % (2 * n) + 1 == b else 1 / Fraction(t)
+        mat[row][col[rep(a)]] += ts
+        mat[row][col[rep(b)]] += 1 - ts
         mat[row][col[rep(c)]] += -1
     minor = [r[: len(gens) - 1] for r in mat[: n - 1]]
-    det = fraction_det(minor) if minor else Fraction(1)
+    return fraction_det(minor) if minor else Fraction(1)
+
+
+def wirtinger_determinant_recount(crossings) -> int:
+    """Knot determinant |Delta(-1)| from the Wirtinger minor at t = -1, where
+    positive and negative crossings give the same row."""
+    det = wirtinger_minor_at(crossings, -1)
     assert det.denominator == 1
     return abs(int(det))
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kirby4 import cli
+from kirby4 import cli, knot
 from kirby4.cli import run
 from kirby4.fixtures import corpus, fixture_path, shipped_fixtures, write_corpus
 
@@ -72,6 +72,15 @@ def test_arf(fx, capsys):
     code, out = run_json(capsys, ["arf", fx("cp2")])
     assert code == 0
     assert out == {"arf": 0, "determinant": 1}
+
+
+def test_arf_computes_the_polynomial_once(fx, capsys, monkeypatch):
+    calls = []
+    original = knot.alexander_polynomial
+    monkeypatch.setattr(knot, "alexander_polynomial", lambda k: calls.append(k) or original(k))
+    code, out = run_json(capsys, ["arf", fx("chern")])
+    assert code == 0 and out == {"arf": 1, "determinant": 3}
+    assert len(calls) == 1
 
 
 def test_arf_rejects_links(fx, capsys):
@@ -160,6 +169,15 @@ def test_every_valid_fixture_runs_ks(capsys):
         else:
             assert run(["ks", str(path)]) == 0, path.stem
         capsys.readouterr()
+
+
+def test_non_planar_pd_is_input_error(capsys, tmp_path):
+    # Each arc and strand checks out, but the two crossings bound only two
+    # faces where a planar diagram has four.
+    path = tmp_path / "torus.json"
+    path.write_text('{"pd": [[4,3,1,2],[1,3,2,4]], "framings": [1]}')
+    assert run(["ks", str(path)]) == 1
+    assert "not a planar diagram" in capsys.readouterr().err
 
 
 def test_enum_cap_exits_2(fx, capsys, monkeypatch, tmp_path):

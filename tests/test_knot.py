@@ -1,5 +1,7 @@
 """Sublinks, band sums, Alexander evaluation, Arf."""
 
+from fractions import Fraction
+
 import pytest
 
 from kirby4.diagram import FramedLink, linking_matrix, mirror
@@ -23,7 +25,7 @@ from kirby4.knot import (
     mirror_knot,
 )
 
-from conftest import S, pd_face_count, wirtinger_determinant_recount
+from conftest import S, pd_face_count, wirtinger_determinant_recount, wirtinger_minor_at
 
 TREFOIL = KnotDiagram.build(TREFOIL_PD)
 FIG8 = KnotDiagram.build(FIGURE_EIGHT_PD)
@@ -32,6 +34,8 @@ UNKNOT = KnotDiagram.unknot()
 # Odd framings that make a path of doubled clasps unimodular; with even
 # off-diagonal entries the whole link is characteristic.
 CHAIN_FRAMINGS = [(1, 1, 3, 1), (1, 1, 1, 3, 3), (1, 1, 1, 3, -1, -1)]
+LONG_CHAIN_FRAMINGS = [(1, 1, 1, 3, -1, 3, 1), (1, 1, 1, 1, 1, 3, 3, 3),
+                       (1, 3, 1, 1, 3, 1, 3, 3, 1, 1, 3, 1)]
 
 
 def chain_link(framings):
@@ -44,8 +48,8 @@ def chain_link(framings):
     return clasp_link(S(rows))
 
 
-def chain_sublinks():
-    for framings in CHAIN_FRAMINGS:
+def chain_sublinks(framing_list=CHAIN_FRAMINGS):
+    for framings in framing_list:
         link = chain_link(framings)
         for variant in (link, tie_trefoil(link, 0)):
             c = characteristic_vector(linking_matrix(variant))
@@ -225,6 +229,25 @@ class TestAlexander:
         ]
         for k in diagrams:
             assert alexander_at_minus_one(k) == wirtinger_determinant_recount(k.crossings)
+
+    def test_polynomial_matches_wirtinger_oracle(self):
+        # Band sums of chains of rank 4-8 and 12 (up to 52 crossings) with
+        # and without a tied trefoil, their mirrors, and the one-crossing
+        # kinks, whose minor is 0x0.
+        knots = [KnotDiagram.build([(1, 1, 2, 2)]), KnotDiagram.build([(1, 2, 2, 1)])]
+        for sub in chain_sublinks(CHAIN_FRAMINGS + LONG_CHAIN_FRAMINGS):
+            k = band_sum(sub)
+            knots += [k, mirror_knot(k)]
+        assert max(len(k.crossings) for k in knots) >= 40
+        for k in knots:
+            p = alexander_polynomial(k)
+            for t in (2, 3, -2):
+                value = sum(c * Fraction(t) ** e for e, c in p.coeffs)
+                assert value == wirtinger_minor_at(k.crossings, t), (len(k.crossings), t)
+            assert abs(sum(c for _, c in p.coeffs)) == 1
+            lo, hi = p.coeffs[0][0], p.coeffs[-1][0]
+            dense = [p.as_map().get(e, 0) for e in range(lo, hi + 1)]
+            assert dense[::-1] in (dense, [-c for c in dense])
 
     def test_multi_component_rejected(self):
         with pytest.raises(NotAKnot):
