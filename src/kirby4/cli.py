@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from .classify import homeomorphic_oriented, homeomorphic_unoriented
-from .diagram import linking_matrix, parse_framed_link
+from .diagram import _is_int, linking_matrix, parse_framed_link
 from .errors import (
     InputError,
     InternalInvariantViolation,
@@ -55,12 +55,11 @@ def _load_matrix(path: str) -> SymIntMatrix:
         raise MalformedInput(f'{path}: expected an object with "entries"')
     entries = data["entries"]
     if not isinstance(entries, list) or not all(
-        isinstance(r, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in r)
-        for r in entries
+        isinstance(r, list) and all(_is_int(x) for x in r) for r in entries
     ):
         raise MalformedInput(f'{path}: "entries" must be a grid of integers')
     m = SymIntMatrix.from_rows(entries)
-    if "n" in data and data["n"] != m.n:
+    if "n" in data and (not _is_int(data["n"]) or data["n"] != m.n):
         raise MalformedInput(f'{path}: "n"={data["n"]} does not match {m.n} rows')
     return m
 

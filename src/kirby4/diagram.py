@@ -123,8 +123,6 @@ def _pd_components(xs: tuple[Crossing, ...]):
     for a in range(1, n_arcs + 1):
         if counts.get(a, 0) != 2:
             raise InvalidPD(f"arc {a} appears {counts.get(a, 0)} times, expected 2")
-    if set(counts) != set(range(1, n_arcs + 1)):
-        raise InvalidPD("arc labels must be exactly 1..2*crossings")
 
     # Strand continuity: the two arcs of a passage belong to one component.
     parent = list(range(n_arcs + 1))
@@ -135,19 +133,16 @@ def _pd_components(xs: tuple[Crossing, ...]):
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
     for a, b, c, d in xs:
-        union(a, c)
-        union(b, d)
+        parent[find(a)] = find(c)
+        parent[find(b)] = find(d)
 
+    # Arcs are visited in increasing order, so each group is sorted and the
+    # groups come out ordered by their smallest arc.
     groups: dict[int, list[int]] = {}
     for a in range(1, n_arcs + 1):
         groups.setdefault(find(a), []).append(a)
-    comps = [sorted(g) for g in sorted(groups.values(), key=min)]
+    comps = list(groups.values())
     succ: dict[int, int] = {}
     for comp in comps:
         lo, hi = comp[0], comp[-1]
@@ -211,70 +206,34 @@ def _check_planar(xs: tuple[Crossing, ...]) -> None:
 def _resolve_over_directions(xs: tuple[Crossing, ...], succ) -> tuple[int, ...]:
     """Decide, per crossing, whether the over-strand enters at slot 1 or 3.
 
-    Label succession settles most crossings; two-arc components leave both
-    readings open locally and are settled by propagating the constraint that
-    every arc has exactly one incoming and one outgoing end.  Components that
-    never pass under anything are genuinely unoriented by the code; they get
-    a canonical direction (over-strand entering at slot 3).  The choice
-    cannot affect any linking number.
+    Label succession settles a crossing when exactly one of b -> d, d -> b
+    follows it.  When both do, the strand lies on a one- or two-arc
+    component; walking these crossings in order, it enters by the arc with
+    no incoming end yet, or at slot 3 if neither has one (a component that
+    never passes under is unoriented by the code, and the choice cannot
+    affect any linking number).  Each arc must get exactly one incoming end.
     """
-    status: dict[tuple[int, int], bool] = {}  # True = incoming end (arc head)
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for k, t in enumerate(xs):
-        for s, a in enumerate(t):
-            occ.setdefault(a, []).append((k, s))
-
-    def set_status(k, s, val):
-        old = status.get((k, s))
-        if old is None:
-            status[(k, s)] = val
-            return True
-        if old != val:
-            raise InvalidPD(f"inconsistent orientation at crossing {k}")
-        return False
-
+    heads = [0] * (2 * len(xs) + 1)  # incoming ends seen per arc
+    over_in = [0] * len(xs)  # 0 until settled
     for k, (a, b, c, d) in enumerate(xs):
-        set_status(k, 0, True)
-        set_status(k, 2, False)
+        heads[a] += 1
         fwd_b, fwd_d = succ[b] == d, succ[d] == b
-        if not fwd_b and not fwd_d:
+        if not (fwd_b or fwd_d):
             raise InvalidPD(f"over-strand at crossing {k} breaks label succession")
-        if fwd_b and not fwd_d:
-            set_status(k, 1, True)
-            set_status(k, 3, False)
-        elif fwd_d and not fwd_b:
-            set_status(k, 3, True)
-            set_status(k, 1, False)
+        if fwd_b != fwd_d:
+            over_in[k] = 1 if fwd_b else 3
+            heads[b if fwd_b else d] += 1
+    for k, t in enumerate(xs):
+        if not over_in[k]:
+            over_in[k] = 1 if heads[t[3]] and not heads[t[1]] else 3
+            heads[t[over_in[k]]] += 1
+    if any(h != 1 for h in heads[1:]):
+        raise InvalidPD("an arc cannot have two incoming or two outgoing ends")
+    return tuple(over_in)
 
-    def propagate():
-        changed = True
-        while changed:
-            changed = False
-            for ends in occ.values():
-                (k1, s1), (k2, s2) = ends
-                v1, v2 = status.get((k1, s1)), status.get((k2, s2))
-                if v1 is not None and v2 is None:
-                    changed |= set_status(k2, s2, not v1)
-                elif v2 is not None and v1 is None:
-                    changed |= set_status(k1, s1, not v2)
-                elif v1 is not None and v1 == v2:
-                    raise InvalidPD("an arc cannot have two incoming or two outgoing ends")
-            for k in range(len(xs)):
-                v1, v3 = status.get((k, 1)), status.get((k, 3))
-                if v1 is not None and v3 is None:
-                    changed |= set_status(k, 3, not v1)
-                elif v3 is not None and v1 is None:
-                    changed |= set_status(k, 1, not v3)
-                elif v1 is not None and v1 == v3:
-                    raise InvalidPD(f"over-strand at crossing {k} cannot pass through")
 
-    propagate()
-    for k in range(len(xs)):
-        if status.get((k, 1)) is None:
-            set_status(k, 3, True)
-            set_status(k, 1, False)
-            propagate()
-    return tuple(3 if status[(k, 3)] else 1 for k in range(len(xs)))
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is no number
 
 
 def parse_framed_link(text: bytes) -> FramedLink:
@@ -298,14 +257,14 @@ def parse_framed_link(text: bytes) -> FramedLink:
     name = data.get("name")
     if not isinstance(pd, list) or not all(isinstance(t, list) for t in pd):
         raise MalformedInput('"pd" must be a list of 4-element lists')
-    if not isinstance(framings, list) or not all(isinstance(f, int) for f in framings):
+    if not isinstance(framings, list) or not all(_is_int(f) for f in framings):
         raise MalformedInput('"framings" must be a list of integers')
-    if not isinstance(unknots, int) or isinstance(unknots, bool):
+    if not _is_int(unknots):
         raise MalformedInput('"unknots" must be an integer')
     if name is not None and not isinstance(name, str):
         raise MalformedInput('"name" must be a string')
     for t in pd:
-        if len(t) != 4 or not all(isinstance(x, int) and not isinstance(x, bool) for x in t):
+        if len(t) != 4 or not all(_is_int(x) for x in t):
             raise MalformedInput(f"crossing {t!r} is not a 4-list of integers")
     return FramedLink.build(pd, unknots=unknots, framings=framings, name=name)
 
@@ -349,6 +308,14 @@ def is_unimodular(v: SymIntMatrix) -> bool:
     return v.is_unimodular()
 
 
+def _swap_over_under(crossings, over_in) -> list[Crossing]:
+    """Rotate each crossing so that its incoming over-arc lands in slot 0."""
+    return [
+        (d, a, b, c) if oi == 3 else (b, c, d, a)
+        for (a, b, c, d), oi in zip(crossings, over_in)
+    ]
+
+
 def mirror(link: FramedLink) -> FramedLink:
     """Swap over/under at every crossing and negate all framings.
 
@@ -356,12 +323,8 @@ def mirror(link: FramedLink) -> FramedLink:
     incoming under-arc, which keeps every strand's orientation intact; the
     linking matrix of the result is the negation of the original.
     """
-    new = []
-    for t, oi in zip(link.crossings, link.over_in):
-        a, b, c, d = t
-        new.append((d, a, b, c) if oi == 3 else (b, c, d, a))
     return FramedLink.build(
-        new,
+        _swap_over_under(link.crossings, link.over_in),
         unknots=link.unknots,
         framings=[-f for f in link.framings],
         name=link.name,

@@ -181,37 +181,29 @@ def _classify(v: SymIntMatrix) -> FormClass:
 
 
 def characteristic_vector(v: SymIntMatrix) -> tuple[int, ...]:
-    """A 0/1 vector c with c^T V x = x^T V x mod 2 for every integer x.
+    """The 0/1 vector c with c^T V x = x^T V x mod 2 for every integer x.
 
-    Works modulo 2: odd diagonal entries are split off one at a time by
-    simultaneous row/column operations, leaving an even block; the vector
-    with 1s at the split positions is characteristic for the transformed
-    matrix, and the accumulated basis change maps it back.
+    Since x^T V x = sum V_ii x_i mod 2, c solves V c = diag V mod 2, and as
+    det V is odd the solution is unique (Milnor-Husemoller, ch. II).  It is
+    found by Gauss-Jordan elimination over GF(2) on rows packed into ints:
+    bit j of a row is column j, and bit m (the rank) the right-hand side.
     """
     _require_unimodular(v)
     m = v.n
-    a = [[x % 2 for x in row] for row in v.entries]
-    q = identity(m)
-    k = 0
-    for i in range(m):
-        j = next((j for j in range(i, m) if a[j][j] == 1), None)
-        if j is None:
-            break
-        if j != i:
-            for r in range(m):
-                a[r][i], a[r][j] = a[r][j], a[r][i]
-                q[r][i], q[r][j] = q[r][j], q[r][i]
-            a[i], a[j] = a[j], a[i]
-        for l in range(i + 1, m):
-            if a[i][l] == 1:
-                for r in range(m):
-                    a[r][l] = (a[r][l] + a[r][i]) % 2
-                    q[r][l] = (q[r][l] + q[r][i]) % 2
-                for c in range(m):
-                    a[l][c] = (a[l][c] + a[i][c]) % 2
-        k = i + 1
-    c_split = [1] * k + [0] * (m - k)
-    c = [x % 2 for x in mat_vec(q, c_split)]
+    rows = [
+        sum((x & 1) << j for j, x in enumerate(row)) | (row[i] & 1) << m
+        for i, row in enumerate(v.entries)
+    ]
+    for j in range(m):
+        bit = 1 << j
+        p = next((r for r in range(j, m) if rows[r] & bit), None)
+        if p is None:
+            raise InternalInvariantViolation("unimodular form is singular mod 2")
+        rows[j], rows[p] = rows[p], rows[j]
+        for r in range(m):
+            if r != j and rows[r] & bit:
+                rows[r] ^= rows[j]
+    c = [row >> m & 1 for row in rows]
     for i in range(m):
         lhs = sum(c[r] * v[r][i] for r in range(m)) % 2
         if lhs != v[i][i] % 2:

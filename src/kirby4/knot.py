@@ -25,6 +25,7 @@ from .diagram import (
     PDCode,
     _pd_components,
     _resolve_over_directions,
+    _swap_over_under,
 )
 from .errors import (
     InternalInvariantViolation,
@@ -96,10 +97,7 @@ class IntPolynomial:
 
 def mirror_knot(k: KnotDiagram) -> KnotDiagram:
     """Swap over and under strands at every crossing of a knot diagram."""
-    new = []
-    for t, oi in zip(k.crossings, k.over_in):
-        a, b, c, d = t
-        new.append((d, a, b, c) if oi == 3 else (b, c, d, a))
+    new = _swap_over_under(k.crossings, k.over_in)
     return KnotDiagram.build(new, derivation=k.derivation + ("mirrored",))
 
 

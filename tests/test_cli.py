@@ -180,6 +180,29 @@ def test_non_planar_pd_is_input_error(capsys, tmp_path):
     assert "not a planar diagram" in capsys.readouterr().err
 
 
+def test_arc_entering_two_under_passages_is_input_error(capsys, tmp_path):
+    # Planar, and every strand follows label succession, but arc 1 enters
+    # both under passages, so the two-arc component has no orientation.
+    path = tmp_path / "twice.json"
+    path.write_text('{"pd": [[1,4,2,3],[1,3,2,4]], "framings": [0, 0]}')
+    assert run(["ks", str(path)]) == 1
+    assert "two incoming" in capsys.readouterr().err
+
+
+def test_boolean_framing_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"pd": [], "unknots": 1, "framings": [true]}')
+    assert run(["ks", str(path)]) == 1
+    assert '"framings" must be a list of integers' in capsys.readouterr().err
+
+
+def test_boolean_matrix_size_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"n": true, "entries": [[1]]}')
+    assert run(["classify", str(path)]) == 1
+    assert '"n"' in capsys.readouterr().err
+
+
 def test_enum_cap_exits_2(fx, capsys, monkeypatch, tmp_path):
     a = tmp_path / "i2.json"
     a.write_text('{"entries": [[1,0],[0,1]]}')

@@ -89,6 +89,10 @@ class TestCrossingSign:
         assert crossing_sign(positive, 0) == 1
         assert crossing_sign(negative, 0) == -1
 
+    def test_component_never_passing_under_enters_at_slot_3(self):
+        # The second unknot only passes over, so the code leaves it unoriented.
+        assert fixtures.overlapped_unknots(1, 1).over_in == (3, 1)
+
     def test_out_of_range(self):
         link = FramedLink.build(HOPF, framings=[0, 0])
         with pytest.raises(IndexOutOfRange):

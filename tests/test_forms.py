@@ -193,6 +193,19 @@ class TestCharacteristicVector:
             c = characteristic_vector(v)
             assert c in brute_force_characteristic(v)
 
+    def test_unique_on_seeded_conjugates(self):
+        # A unimodular form has exactly one characteristic vector mod 2.
+        import random
+
+        bases = [E8_MATRIX.rows(), I(9).rows(), block_diag(H.rows(), H.rows()),
+                 block_diag(I(3).rows(), DIAG(-1, -1, -1, -1).rows())]
+        for seed, base in enumerate(bases):
+            rng = random.Random(seed)
+            for _ in range(3):
+                n = len(base)
+                v = S(sandwich(random_unimodular(rng, n, steps=3 * n), base))
+                assert [characteristic_vector(v)] == brute_force_characteristic(v)
+
 
 class TestIndefinite:
     def test_parity_distinguishes(self):
