@@ -10,6 +10,7 @@ errors, 2 for internal invariant violations or the enumeration cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -113,6 +114,8 @@ def _decide(path1: str, path2: str, unoriented: bool, smooth: bool) -> dict:
 
 def _cmd_homeo(args):
     if args.batch:
+        if args.link1 is not None or args.link2 is not None:
+            raise InputError("homeo takes two link files or --batch, not both")
         try:
             text = _read_bytes(args.batch).decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -143,7 +146,10 @@ def _input_files(args) -> list[str]:
     return files
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state on the parser, it
+    # returns a fresh Namespace on every call.
     parser = argparse.ArgumentParser(
         prog="kirby4",
         description="decide homeomorphism of simply connected 4-manifolds "

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, canonical JSON, fixture corpus."""
 
+import argparse
 import json
+import re
 
 import pytest
 
@@ -132,6 +134,17 @@ def test_batch(fx, capsys, tmp_path):
     assert verdicts == [False, True]
 
 
+@pytest.mark.parametrize("links", [("cp2", "chern"), ("cp2",)], ids=["two", "one"])
+def test_batch_with_link_files_is_input_error(fx, capsys, tmp_path, links):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(f"{fx('cp2')}\t{fx('cp2')}\n")
+    code = run(["homeo", *(fx(stem) for stem in links), "--batch", str(pairs)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not both" in captured.err
+
+
 @pytest.mark.parametrize("content", [None, b"\xff\xfe"], ids=["missing", "not_utf8"])
 def test_batch_unreadable_is_input_error(capsys, tmp_path, content):
     pairs = tmp_path / "pairs.tsv"
@@ -237,6 +250,48 @@ def test_json_report_input_vanishing_mid_run_is_input_error(capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot read")
+
+
+def test_repeated_runs_leak_no_state(fx, capsys):
+    rounds = []
+    for _ in range(2):
+        calls = []
+        for argv in (
+            ["homeo", "--unoriented", fx("cp2"), fx("cp2_bar")],
+            ["homeo", fx("cp2"), fx("cp2_bar")],
+            ["homeo"],
+            ["no-such-command"],
+            ["--help"],
+            ["ks", "--bogus", fx("cp2")],
+            ["--json", "ks", fx("chern")],
+        ):
+            code = run(argv)
+            captured = capsys.readouterr()
+            out = re.sub(r'"duration_ms":\d+', '"duration_ms":0', captured.out)
+            calls.append((code, out, captured.err))
+        rounds.append(calls)
+    assert rounds[0] == rounds[1]
+    codes = [code for code, _, _ in rounds[0]]
+    assert codes == [0, 0, 1, 1, 0, 1, 0]
+    assert json.loads(rounds[0][0][1])["homeomorphic"] is True
+    assert json.loads(rounds[0][1][1])["homeomorphic"] is False
+    assert rounds[0][4][1].startswith("usage: kirby4")
+    assert json.loads(rounds[0][6][1])["command"] == "ks"
+
+
+def test_parser_built_once_per_process(fx, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "kirby4":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(3):
+        assert run(["ks", fx("cp2")]) == 0
+    assert len(built) <= 1
 
 
 def test_fixture_path_helper():
