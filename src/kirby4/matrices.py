@@ -102,13 +102,32 @@ def congruence(p, v) -> list[list[int]]:
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
+    """Exact determinant by fraction-free Gaussian elimination.
+
+    Step k replaces each row i below the pivot by
+    (m_kk * row_i - m_ik * row_k) / prev, where prev is the pivot of step
+    k - 1.  Every entry this produces is a minor of the input (Sylvester's
+    identity; Bareiss 1968), so each division is exact.
+
+    A row whose multiplier m_ik is 0 would only be rescaled by m_kk / prev,
+    so it is left untouched, and `scale[i]` keeps the pivot of the last step
+    at which it was current; a row swap carries it along.  The row is
+    brought current, over the columns still in play, by x * prev // scale[i]
+    when it becomes the pivot row or its multiplier turns out nonzero, and
+    the last entry is brought current before it is returned.  That division
+    is exact too: the skipped factors telescope to prev / scale[i], so the
+    result is the entry's value under the full elimination, a minor.  A
+    stored entry is zero exactly when its current value is, so the zero
+    tests need no rescaling.  Wirtinger rows have at most three nonzeros,
+    so most rows of a knot minor are skipped at most steps.
+    """
     n = len(rows)
     if n == 0:
         return 1
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("determinant needs a square matrix")
     m = [list(r) for r in rows]
+    scale = [1] * n
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -116,13 +135,27 @@ def bareiss_det(rows: list[list[int]]) -> int:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]
+                    scale[k], scale[i] = scale[i], scale[k]
                     sign = -sign
                     break
             else:
                 return 0
+        pivot_row = m[k]
+        s = scale[k]
+        if s != prev:
+            for j in range(k, n):
+                pivot_row[j] = pivot_row[j] * prev // s
+        piv = pivot_row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            row = m[i]
+            if row[k]:
+                s = scale[i]
+                if s != prev:
+                    for j in range(k, n):
+                        row[j] = row[j] * prev // s
+                f = row[k]
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * piv - f * pivot_row[j]) // prev
+                scale[i] = piv
+        prev = piv
+    return sign * (m[n - 1][n - 1] * prev // scale[n - 1])

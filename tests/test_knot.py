@@ -12,6 +12,7 @@ from kirby4.fixtures import (
     TREFOIL_PD,
     clasp_link,
     hopf_link,
+    split_union,
     tie_trefoil,
     trefoil,
 )
@@ -54,6 +55,10 @@ def chain_sublinks(framing_list=CHAIN_FRAMINGS):
         for variant in (link, tie_trefoil(link, 0)):
             c = characteristic_vector(linking_matrix(variant))
             yield characteristic_sublink(variant, c)
+
+
+def characteristic_band_sum(link):
+    return band_sum(characteristic_sublink(link, characteristic_vector(linking_matrix(link))))
 
 
 def band_variants(link):
@@ -248,6 +253,23 @@ class TestAlexander:
             lo, hi = p.coeffs[0][0], p.coeffs[-1][0]
             dense = [p.as_map().get(e, 0) for e in range(lo, hi + 1)]
             assert dense[::-1] in (dense, [-c for c in dense])
+
+    def test_split_unions_of_long_chains_match_oracle(self):
+        # Two and three copies of the rank-12 chain with a trefoil tied in:
+        # band sums of about 104 and 156 crossings, a connected sum of the
+        # copies' band sums, so the determinant is the product of theirs.
+        one = tie_trefoil(chain_link(LONG_CHAIN_FRAMINGS[-1]), 0)
+        single = alexander_at_minus_one(characteristic_band_sum(one))
+        link = one
+        for copies in (2, 3):
+            link = split_union(link, one)
+            k = characteristic_band_sum(link)
+            assert len(k.crossings) >= 50 * copies
+            p = alexander_polynomial(k)
+            for t in (2, -2):
+                value = sum(c * Fraction(t) ** e for e, c in p.coeffs)
+                assert value == wirtinger_minor_at(k.crossings, t), (copies, t)
+            assert abs(p.at_minus_one()) == single ** copies
 
     def test_multi_component_rejected(self):
         with pytest.raises(NotAKnot):
