@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import index
 from typing import Optional
 
 from .errors import (
@@ -57,12 +58,15 @@ class FramedLink:
     def build(cls, crossings, unknots: int = 0, framings=(), name: Optional[str] = None) -> "FramedLink":
         """Validate a raw PD code and assemble the link with derived data."""
         xs = _normalize_crossings(crossings)
+        try:
+            unknots, framings = index(unknots), tuple(map(index, framings))
+        except TypeError as exc:
+            raise MalformedInput(f"unknots and framings must be integers: {exc}") from exc
         if unknots < 0:
             raise MalformedInput("unknot count must be non-negative")
         comps, succ = _pd_components(xs)
         _check_planar(xs)
         over_in = _resolve_over_directions(xs, succ)
-        framings = tuple(int(f) for f in framings)
         total = len(comps) + unknots
         if len(framings) != total:
             raise FramingCountMismatch(

@@ -10,8 +10,8 @@ same elimination, a rejection when the norm counts differ, and an exhaustive
 backtracking search whose witness is the first one in the canonical order
 of the *reduced* basis.  The negative definite case is reduced to the
 positive one by negation.  A form's determinant, class and elimination are
-computed once per `SymIntMatrix` instance; -V takes its determinant and
-class from V's.
+computed once per `SymIntMatrix` instance: -V takes all three from V's,
+and LLL starts from the elimination's pivot rows.
 """
 
 from __future__ import annotations
@@ -239,11 +239,11 @@ def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIn
     Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7,
     run on the Gram matrix: d[i] is the Gram determinant of the first i
     basis vectors and lam[k][j] = d[j+1] * mu_kj, so every quantity is an
-    integer.  Returns (U, U^-1, U^T V U) with U unimodular; the columns of U
-    are the reduced basis.  The reduced form takes its class from V, and its
-    factor for `short_vectors` from the final d and lam: these are the pivot
-    rows `diagonalize_over_Q` would compute for it (a_jj = d[j+1], a_jk =
-    lam[k][j]), so it is not eliminated again.
+    integer.  It starts from the pivot rows `classify` left in V's memo: a
+    definite form needs no pivot repair, so a_jj = d[j+1] and a_jk =
+    lam[k][j], and swaps keep every lam current.  Returns (U, U^-1, U^T V U)
+    with U unimodular; the columns of U are the reduced basis.  The reduced
+    form takes V's class, and its pivot rows from the final d and lam.
     """
     fc = classify(v)
     if fc.definiteness != POSITIVE:
@@ -252,10 +252,9 @@ def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIn
     g = v.rows()  # Gram matrix of the current basis
     basis = identity(n)  # basis[k] is column k of U
     inv = identity(n)  # rows of U^-1
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    if n:
-        d[1] = g[0][0]
+    rows, _ = v.memo[_FACTOR]
+    d = [1] + [row[0] for row in rows]
+    lam = [[rows[j][k - j] for j in range(k)] for k in range(n)]
 
     def red(k, l):
         if 2 * abs(lam[k][l]) <= d[l + 1]:
@@ -284,24 +283,14 @@ def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIn
             lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
         lm = lam[k][k - 1]
         b = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
-        for i in range(k + 1, kmax + 1):
+        for i in range(k + 1, n):
             t = lam[i][k]
             lam[i][k] = (d[k + 1] * lam[i][k - 1] - lm * t) // d[k]
             lam[i][k - 1] = (b * t + lm * lam[i][k]) // d[k + 1]
         d[k] = b
 
-    k, kmax = 1, 0
+    k = 1
     while k < n:
-        if k > kmax:
-            kmax = k
-            for j in range(k + 1):
-                u = g[k][j]
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = u
-                else:
-                    d[k + 1] = u
         red(k, k - 1)
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
             swap(k)
@@ -323,9 +312,9 @@ def short_vectors(v: SymIntMatrix, r: int) -> list[tuple[int, ...]]:
     """All nonzero integer x with 1 <= x^T V x <= r, in canonical order.
 
     Fincke-Pohst enumeration in integers only.  The factor is the pivot rows
-    of `diagonalize_over_Q` (for a form `lll_reduce` returned, the same rows
-    read off the reduction): with a_j the row of pivot j and D_jj its
-    diagonal entry, x^T V x = sum_j (a_j . x)^2 / D_jj, so after
+    that `classify` left in V's memo (read off the reduction for a form
+    `lll_reduce` returned, carried over for -V): with a_j the row of pivot j
+    and D_jj its diagonal entry, x^T V x = sum_j (a_j . x)^2 / D_jj, so after
     scaling by L = lcm(D_jj) each level needs one isqrt and integer bounds.
     Only x whose last nonzero entry is positive are visited; -x follows.
 
@@ -342,8 +331,6 @@ def short_vectors(v: SymIntMatrix, r: int) -> list[tuple[int, ...]]:
     n = v.n
     if n == 0 or r < 1:
         return []
-    if _FACTOR not in v.memo:  # a class carried over from -V, not eliminated here
-        diagonalize_over_Q(v)
     rows, pivots = v.memo[_FACTOR]
     scale = math.lcm(*pivots)
     weight = [scale // p for p in pivots]
@@ -402,10 +389,8 @@ def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
     the canonical order of V''s short vectors gives A = U_V A' U_W^-1; None
     if there is none.
     """
-    for m_ in (v, w):
-        _require_unimodular(m_)
-        if classify(m_).definiteness != POSITIVE:
-            raise NotPositiveDefinite("both forms must be positive definite")
+    if classify(v).definiteness != POSITIVE or classify(w).definiteness != POSITIVE:
+        raise NotPositiveDefinite("both forms must be positive definite")
     if v.n != w.n:
         return None
     n = v.n
@@ -476,10 +461,17 @@ def congruent_with_witness(v: SymIntMatrix, w: SymIntMatrix) -> tuple[bool, Opti
 
 
 def _negated(v: SymIntMatrix) -> SymIntMatrix:
-    """-V for a negative definite V, with its class carried over from V's."""
+    """-V for a negative definite V, with its class and pivot rows carried over.
+
+    No pivot of a definite form needs repair, so pivot row j holds (j+1) x (j+1)
+    minors and D_jj = d_j d_(j+1); negating V multiplies row j by (-1)^(j+1), D by -1.
+    """
     out = v.neg()
     c = classify(v)
     out.memo[FormClass] = FormClass(c.rank, -c.signature, c.parity, POSITIVE)
+    rows, diag = v.memo[_FACTOR]
+    signed = [[-x for x in row] if j % 2 == 0 else list(row) for j, row in enumerate(rows)]
+    out.memo[_FACTOR] = (signed, [-x for x in diag])
     return out
 
 

@@ -61,9 +61,6 @@ class KnotDiagram:
     def crossings(self) -> tuple[Crossing, ...]:
         return self.pd.crossings
 
-    def is_crossingless(self) -> bool:
-        return not self.pd.crossings
-
 
 @dataclass(frozen=True)
 class IntPolynomial:
@@ -80,19 +77,6 @@ class IntPolynomial:
 
     def at_minus_one(self) -> int:
         return sum(-c if e % 2 else c for e, c in self.coeffs)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in self.coeffs:
-            if e == 0:
-                parts.append(f"{c:+d}")
-            elif e == 1:
-                parts.append(f"{c:+d}*t")
-            else:
-                parts.append(f"{c:+d}*t^{e}")
-        return " ".join(parts)
 
 
 def mirror_knot(k: KnotDiagram) -> KnotDiagram:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
+from operator import index, mul
 
 from .errors import DimensionMismatch, MalformedInput
 
@@ -40,7 +40,12 @@ class SymIntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "SymIntMatrix":
-        grid = tuple(tuple(int(x) for x in row) for row in rows)
+        """Rows of integers (anything `operator.index` takes, bool too); a float,
+        string or None raises MalformedInput instead of being truncated."""
+        try:
+            grid = tuple(tuple(map(index, row)) for row in rows)
+        except TypeError as exc:
+            raise MalformedInput(f"matrix entries must be integers: {exc}") from exc
         return cls(len(grid), grid)
 
     def __getitem__(self, i: int) -> tuple[int, ...]:

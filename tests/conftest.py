@@ -5,7 +5,7 @@ checked by exhaustive search over small integer matrices, Alexander
 polynomials and knot determinants by building the Wirtinger matrix directly
 at a rational t and eliminating over exact rationals, inverses by rational
 Gauss-Jordan written out here, short vectors by walking a whole box, lattice
-reduction by a rational Gram-Schmidt.
+reduction by a rational Gram-Schmidt and a textbook rational LLL.
 """
 
 from __future__ import annotations
@@ -251,6 +251,68 @@ def lll_conditions_hold(v: SymIntMatrix, delta=Fraction(3, 4)) -> bool:
     return all(2 * abs(mu[i][j]) <= 1 for i in range(n) for j in range(i)) and all(
         b[i] >= (delta - mu[i][i - 1] ** 2) * b[i - 1] for i in range(1, n)
     )
+
+
+def textbook_lll(rows, delta=Fraction(3, 4)):
+    """(U, U^T V U) of LLL on the basis whose Gram matrix is V, over exact
+    rationals (Cohen, Alg. 2.6.3, lazy Gram-Schmidt up to kmax).  Step k
+    size-reduces b_k against b_(k-1), then either swaps them (Lovasz test
+    failed; k = max(1, k - 1)) or size-reduces b_k against b_(k-2), ..., b_0
+    and moves on.  Reduction subtracts q = floor(mu + 1/2) copies and is
+    skipped when |mu| <= 1/2.  The columns of U are the reduced basis."""
+    n = len(rows)
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]  # basis[k] = column k of U
+
+    def dot(i, j):
+        return sum(a * sum(r * b for r, b in zip(row, basis[j]))
+                   for a, row in zip(basis[i], rows) if a)
+
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    big_b = [Fraction(0)] * n
+
+    def red(k, l):
+        if 2 * abs(mu[k][l]) <= 1:
+            return
+        q = math.floor(mu[k][l] + Fraction(1, 2))
+        basis[k] = [a - q * b for a, b in zip(basis[k], basis[l])]
+        mu[k][l] -= q
+        for i in range(l):
+            mu[k][i] -= q * mu[l][i]
+
+    def swap(k, kmax):
+        basis[k - 1], basis[k] = basis[k], basis[k - 1]
+        for j in range(k - 1):
+            mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+        m = mu[k][k - 1]
+        b = big_b[k] + m * m * big_b[k - 1]
+        mu[k][k - 1] = m * big_b[k - 1] / b
+        big_b[k] = big_b[k - 1] * big_b[k] / b
+        big_b[k - 1] = b
+        for i in range(k + 1, kmax + 1):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+
+    if n:
+        big_b[0] = Fraction(dot(0, 0))
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k):
+                s = sum(mu[j][i] * mu[k][i] * big_b[i] for i in range(j))
+                mu[k][j] = (dot(k, j) - s) / big_b[j]
+            big_b[k] = dot(k, k) - sum(mu[k][j] ** 2 * big_b[j] for j in range(k))
+        red(k, k - 1)
+        if big_b[k] < (delta - mu[k][k - 1] ** 2) * big_b[k - 1]:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    u = tr(basis)
+    return u, sandwich(u, rows)
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 4):

@@ -73,6 +73,21 @@ class TestParse:
         assert link.as_dict()["name"] == "hopf"
 
 
+class TestBuild:
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "1", None])
+    def test_non_integer_framing_rejected(self, bad):
+        with pytest.raises(MalformedInput):
+            FramedLink.build([], unknots=1, framings=[bad])
+
+    @pytest.mark.parametrize("bad", [1.0, "1", None])
+    def test_non_integer_unknot_count_rejected(self, bad):
+        with pytest.raises(MalformedInput):
+            FramedLink.build([], unknots=bad, framings=[0])
+
+    def test_bool_is_an_integer(self):
+        assert FramedLink.build([], unknots=True, framings=[False]).framings == (0,)
+
+
 class TestCrossingSign:
     def test_hopf_positive(self):
         link = FramedLink.build(HOPF, framings=[0, 0])

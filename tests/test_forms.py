@@ -39,6 +39,7 @@ from conftest import (
     mul,
     random_unimodular,
     sandwich,
+    textbook_lll,
 )
 
 H = S([[0, 1], [1, 0]])
@@ -282,11 +283,16 @@ class TestShortVectors:
         assert short_vectors(v, r) == box_short_vectors(v, r)
 
 
+def seeded_conjugate(base, seed):
+    import random
+
+    n = len(base)
+    return S(sandwich(random_unimodular(random.Random(seed), n, steps=4 * n), base))
+
+
 class TestLLL:
     @pytest.mark.parametrize("name", ["I12", "E8", "E8+I1", "E8_dual"])
     def test_reduced_congruent_form(self, name):
-        import random
-
         from kirby4 import forms
 
         base = {"I12": mat_identity(12), "E8": E8_MATRIX.rows(),
@@ -294,8 +300,10 @@ class TestLLL:
                 "E8_dual": [[int(x) for x in row] for row in fraction_inverse(E8_MATRIX.rows())]}[name]
         n = len(base)
         for seed in range(5):
-            v = S(sandwich(random_unimodular(random.Random(seed), n, steps=4 * n), base))
+            v = seeded_conjugate(base, seed)
             u, u_inv, reduced = lll_reduce(v)
+            # the textbook LLL's basis, on which the canonical witness order rests
+            assert (u, reduced.rows()) == textbook_lll(v.rows())
             assert mul(u, u_inv) == mat_identity(n)
             assert sandwich(u, v.rows()) == reduced.rows()
             assert lll_conditions_hold(reduced)
@@ -304,6 +312,37 @@ class TestLLL:
             fresh = S(reduced.rows())
             diagonalize_over_Q(fresh)
             assert reduced.memo[forms._FACTOR] == fresh.memo[forms._FACTOR]
+
+
+NEGATIVE_BASES = {
+    name: [[-x for x in row] for row in base]
+    for name, base in (("-E8", E8_MATRIX.rows()), ("-I9", mat_identity(9)),
+                       ("-(E8+I1)", block_diag(E8_MATRIX.rows(), [[1]])))
+}
+
+
+class TestNegatedFactor:
+    @pytest.mark.parametrize("name", list(NEGATIVE_BASES))
+    def test_pivot_rows_are_a_fresh_elimination(self, name):
+        from kirby4 import forms
+
+        for seed in range(14):
+            v = seeded_conjugate(NEGATIVE_BASES[name], seed)
+            assert classify(v).definiteness == NEGATIVE
+            fresh = S([[-x for x in row] for row in v.entries])
+            diagonalize_over_Q(fresh)
+            assert forms._negated(v).memo[forms._FACTOR] == fresh.memo[forms._FACTOR]
+
+    @pytest.mark.parametrize("name", list(NEGATIVE_BASES))
+    def test_enumerating_minus_v_eliminates_nothing(self, name, calls):
+        from kirby4 import forms
+
+        v = seeded_conjugate(NEGATIVE_BASES[name], 0)
+        expected = short_vectors(S([[-x for x in row] for row in v.entries]), 2)
+        classify(v)
+        calls.clear()
+        assert short_vectors(forms._negated(v), 2) == expected
+        assert calls["diagonalize_over_Q"] == 0
 
 
 class TestCongruentDefinite:

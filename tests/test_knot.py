@@ -112,7 +112,7 @@ class TestCharacteristicSublink:
 class TestBandSum:
     def test_empty_gives_unknot(self):
         k = band_sum(FramedLink.build([], framings=[]))
-        assert k.is_crossingless()
+        assert k.crossings == ()
         assert arf_invariant(k) == 0
 
     def test_single_component_unchanged(self):

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from kirby4.errors import DimensionMismatch
-from kirby4.matrices import bareiss_det
+from kirby4.errors import DimensionMismatch, MalformedInput
+from kirby4.matrices import SymIntMatrix, bareiss_det
 
 from conftest import fraction_det
 
@@ -84,3 +84,17 @@ class TestBareissDet:
             for _ in range(15):
                 m = wirtinger_rows(rng, n, x)
                 assert bareiss_det(m) == fraction_det(m), m
+
+
+class TestFromRows:
+    @pytest.mark.parametrize("bad", [1.5, 3.0, "3", None])
+    def test_non_integer_entry_rejected(self, bad):
+        with pytest.raises(MalformedInput):
+            SymIntMatrix.from_rows([[1, 0], [0, bad]])
+
+    def test_non_iterable_row_rejected(self):
+        with pytest.raises(MalformedInput):
+            SymIntMatrix.from_rows([1, 2])
+
+    def test_bool_is_an_integer(self):
+        assert SymIntMatrix.from_rows([[True]]).entries == ((1,),)
