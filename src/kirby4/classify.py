@@ -97,13 +97,16 @@ def homeomorphic_unoriented(
     Runs the oriented test as given, then against the mirror of the second
     diagram, analysing the first diagram once for both passes; a match
     either way means homeomorphic, and the reason records which pass
-    succeeded.
+    succeeded.  When the first pass ends in KsDiffer the mirror pass is
+    skipped: mirroring keeps ks, so it would end the same way.
     """
     li = _analyse(left, smooth)
     first = _compare(li, right, smooth)
     if first.homeomorphic:
         return Verdict(True, False, first.left, first.right,
                        first.congruence_witness, MATCH)
+    if first.reason == KS_DIFFER:  # ks(-M) = ks(M): the mirror cannot match
+        return Verdict(False, False, first.left, first.right, None, KS_DIFFER)
     second = _compare(li, mirror(right), smooth)
     if second.homeomorphic:
         return Verdict(True, False, second.left, second.right,

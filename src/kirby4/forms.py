@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from operator import mul
+from dataclasses import asdict, dataclass
+from operator import mul, neg
 from typing import Optional
 
 from .errors import (
@@ -44,6 +44,7 @@ from .matrices import (
 EVEN, ODD = "even", "odd"
 POSITIVE, NEGATIVE, INDEFINITE = "positive", "negative", "indefinite"
 _FACTOR = "factor"  # memo key of the pivot rows and D of diagonalize_over_Q
+_NORMS = "norms"  # (_NORMS, r): norms of short_vectors(v, r)'s representatives
 
 
 @dataclass(frozen=True)
@@ -56,12 +57,7 @@ class FormClass:
     definiteness: str
 
     def as_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "signature": self.signature,
-            "parity": self.parity,
-            "definiteness": self.definiteness,
-        }
+        return asdict(self)
 
 
 def _require_unimodular(v: SymIntMatrix) -> None:
@@ -89,42 +85,51 @@ def diagonalize_over_Q(v: SymIntMatrix) -> tuple[IntRows, SymIntMatrix]:
     with a_jj = d_(j+1)), are kept in `v.memo` with D: when no pivot needed
     repair, as for every positive definite form, they factor the form as
     x^T V x = sum_j (a_j . x)^2 / D_jj, which `short_vectors` enumerates.
+
+    Before step i, column k >= i of P is d_i e_k plus a combination of rows
+    < i, so only those rows are stored.  A repair (column i += column k)
+    keeps that shape once row k of P loses row i, so it is logged and
+    row k += row i is replayed on P's rows at the end, last repair first.
     """
     _require_unimodular(v)
     m = v.n
     a = v.rows()  # a[k][k:] is row k of the trailing block (upper triangle)
-    cols = identity(m)  # cols[k] is column k of P
+    cols = [[] for _ in range(m)]  # rows < i of column k of P, for k >= i
     # Row k of a and column k of P hold their values for d_i = scale[k].  A
     # step whose multiplier a[i][k] is zero only rescales them by
     # d_(i+1) / d_i, so the rescaling is deferred to `current`.
     scale = [1] * m
     diag = []
     factor = []  # row i of the block at pivot time, from column i on
+    repairs = []
     prev = 1
 
     def exact(xs, d):
+        # floor remainders all take d's sign, so they vanish iff their sum does
         qs = [x // d for x in xs]
-        if [q * d for q in qs] != xs:
+        if sum(xs) != d * sum(qs):
             raise InternalInvariantViolation("inexact division in Bareiss elimination")
         return qs
 
-    def current(k):
+    def current(k, i):
         if scale[k] != prev:
             a[k][k:] = exact([prev * x for x in a[k][k:]], scale[k])
             cols[k] = exact([prev * x for x in cols[k]], scale[k])
             scale[k] = prev
+        cols[k] += [0] * (i - len(cols[k]))
 
     def add_col_row(i, k):
         for r in range(i + 1, k + 1):
-            current(r)
+            current(r, i)
         row_k = [a[c][k] for c in range(i, k)] + a[k][k:]
         new = [x + y for x, y in zip(a[i][i:], row_k)]
         new[0] += new[k - i]
         a[i][i:] = new
         cols[i] = [x + y for x, y in zip(cols[i], cols[k])]
+        repairs.append((i, k))
 
     for i in range(m):
-        current(i)
+        current(i, i)
         if a[i][i] == 0:
             k = next((k for k in range(i + 1, m) if a[i][k] != 0), None)
             if k is None:
@@ -139,17 +144,19 @@ def diagonalize_over_Q(v: SymIntMatrix) -> tuple[IntRows, SymIntMatrix]:
         for k in range(i + 1, m):
             f = row_i[k]
             if f:
-                current(k)
+                current(k, i)
                 a[k][k:] = exact([piv * x - f * y for x, y in zip(a[k][k:], row_i[k:])], prev)
-                cols[k] = exact([piv * x - f * y for x, y in zip(cols[k], col_i)], prev)
+                cols[k] = exact([piv * x - f * y for x, y in zip(cols[k], col_i)], prev) + [-f]
                 scale[k] = piv
+        cols[i].append(prev)
         diag.append(prev * piv)
         prev = piv
     v.memo[_FACTOR] = (factor, diag)
-    d = SymIntMatrix.from_rows(
-        [[diag[i] if i == j else 0 for j in range(m)] for i in range(m)]
-    )
-    return tuple(zip(*cols)), d
+    p = [[col[r] if r < len(col) else 0 for col in cols] for r in range(m)]
+    for i, k in reversed(repairs):
+        p[k] = [x + y for x, y in zip(p[k], p[i])]
+    d = SymIntMatrix.from_rows([[diag[i] if i == j else 0 for j in range(m)] for i in range(m)])
+    return tuple(map(tuple, p)), d
 
 
 def classify(v: SymIntMatrix) -> FormClass:
@@ -158,26 +165,17 @@ def classify(v: SymIntMatrix) -> FormClass:
     Computed once per matrix instance and kept in its `memo`.
     """
     fc = v.memo.get(FormClass)
-    if fc is None:
-        fc = v.memo[FormClass] = _classify(v)
-    return fc
-
-
-def _classify(v: SymIntMatrix) -> FormClass:
-    _, d = diagonalize_over_Q(v)
-    diag = d.diagonal()
+    if fc is not None:
+        return fc
+    diag = diagonalize_over_Q(v)[1].diagonal()
     pos = sum(1 for x in diag if x > 0)
     neg = sum(1 for x in diag if x < 0)
     if pos + neg != v.n:
         raise InternalInvariantViolation("zero diagonal entry after diagonalization")
     parity = EVEN if all(x % 2 == 0 for x in v.diagonal()) else ODD
-    if neg == 0:
-        definiteness = POSITIVE
-    elif pos == 0:
-        definiteness = NEGATIVE
-    else:
-        definiteness = INDEFINITE
-    return FormClass(v.n, pos - neg, parity, definiteness)
+    definiteness = POSITIVE if neg == 0 else NEGATIVE if pos == 0 else INDEFINITE
+    fc = v.memo[FormClass] = FormClass(v.n, pos - neg, parity, definiteness)
+    return fc
 
 
 def characteristic_vector(v: SymIntMatrix) -> tuple[int, ...]:
@@ -301,10 +299,8 @@ def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIn
             k += 1
     reduced = SymIntMatrix.from_rows(g)
     reduced.memo[FormClass] = fc
-    reduced.memo[_FACTOR] = (
-        [[d[j + 1]] + [lam[k][j] for k in range(j + 1, n)] for j in range(n)],
-        [d[j] * d[j + 1] for j in range(n)],
-    )
+    reduced.memo[_FACTOR] = ([[d[j + 1]] + [lam[k][j] for k in range(j + 1, n)] for j in range(n)],
+                             [d[j] * d[j + 1] for j in range(n)])
     return transpose(basis), inv, reduced
 
 
@@ -323,18 +319,21 @@ def short_vectors(v: SymIntMatrix, r: int) -> list[tuple[int, ...]]:
     negation.  `congruent_definite` enumerates the LLL-reduced forms, so its
     witness is the first one in the canonical order of the reduced basis.
     Raises ResourceLimitExceeded as soon as the count of vectors found
-    passes KIRBY4_MAX_ENUM.
+    passes KIRBY4_MAX_ENUM.  The leaf reads each norm off the remaining
+    bound; `v.memo[_NORMS, r]` keeps them in the order of out[::2].
     """
     if classify(v).definiteness != POSITIVE:
         raise NotPositiveDefinite("enumeration only applies to positive definite forms")
     cap = _enum_cap()
     n = v.n
     if n == 0 or r < 1:
+        v.memo[_NORMS, r] = []
         return []
     rows, pivots = v.memo[_FACTOR]
     scale = math.lcm(*pivots)
     weight = [scale // p for p in pivots]
-    reps: list[tuple[int, ...]] = []
+    top = scale * r
+    reps: list[tuple[tuple[int, ...], int]] = []
     x = [0] * n
 
     def descend(j: int, rem: int, zero: bool):
@@ -345,36 +344,28 @@ def short_vectors(v: SymIntMatrix, r: int) -> list[tuple[int, ...]]:
         s = math.isqrt(rem // weight[j])
         for xj in range(0 if zero else -((s + c) // a), (s - c) // a + 1):
             x[j] = xj
+            t = a * xj + c
             if j:
-                t = a * xj + c
                 descend(j - 1, rem - weight[j] * t * t, zero and not xj)
             elif xj or not zero:
+                q, qr = divmod(top - rem + weight[0] * t * t, scale)
+                if qr:
+                    raise InternalInvariantViolation("enumerated norm is not an integer")
                 t = tuple(x)
-                reps.append(t if _canonical(t) else tuple(-b for b in t))
+                reps.append((t if _canonical(t) else tuple(map(neg, t)), q))
                 if cap is not None and 2 * len(reps) > cap:
                     raise ResourceLimitExceeded(
-                        f"enumeration candidates exceed KIRBY4_MAX_ENUM={cap}"
-                    )
+                        f"enumeration candidates exceed KIRBY4_MAX_ENUM={cap}")
         x[j] = 0
 
-    descend(n - 1, scale * r, True)
-    out: list[tuple[int, ...]] = []
-    for t in sorted(reps):
-        out.append(t)
-        out.append(tuple(-b for b in t))
-    return out
+    descend(n - 1, top, True)
+    reps.sort()
+    v.memo[_NORMS, r] = [q for _, q in reps]
+    return [y for t, _ in reps for y in (t, tuple(map(neg, t)))]
 
 
 def _canonical(t: tuple[int, ...]) -> bool:
-    for a in t:
-        if a != 0:
-            return a > 0
-    return False
-
-
-def _norms(v: SymIntMatrix, xs) -> list[int]:
-    """x^T V x for each x, summing over the nonzero entries of x only."""
-    return [sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, v.entries) if xi) for x in xs]
+    return next(filter(None, t)) > 0  # t is nonzero; is its first nonzero entry positive?
 
 
 def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
@@ -387,7 +378,12 @@ def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
     Otherwise column i must hit the norm W'[i][i] exactly and match the Gram
     pairings with all previously placed columns.  The first witness A' in
     the canonical order of V''s short vectors gives A = U_V A' U_W^-1; None
-    if there is none.
+    if there is none.  Every column placed counts against KIRBY4_MAX_ENUM.
+
+    A candidate c is tested against all placed columns b_j at once: norms <= r
+    bound |c^T V' b_j| and |W'_ij| by r (Cauchy-Schwarz), so with digits at
+    bits = r.bit_length() + 2, c . sum_j (V' b_j) 2^(bits j) equals
+    sum_j W'_ij 2^(bits j) exactly when every pairing matches.
     """
     if classify(v).definiteness != POSITIVE or classify(w).definiteness != POSITIVE:
         raise NotPositiveDefinite("both forms must be positive definite")
@@ -400,8 +396,9 @@ def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
     _, u_w_inv, w2 = lll_reduce(w)
     r = max(w2.diagonal())
     cands = short_vectors(v2, r)
-    norms = _norms(v2, cands[::2])
-    if sorted(norms) != sorted(_norms(w2, short_vectors(w2, r)[::2])):
+    short_vectors(w2, r)  # for the norms it leaves in w2.memo
+    norms = v2.memo[_NORMS, r]
+    if sorted(norms) != sorted(w2.memo[_NORMS, r]):
         return None
     by_norm: dict[int, list[int]] = {}
     for k, q in enumerate(norms):
@@ -409,27 +406,30 @@ def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
     by_pos = [by_norm.get(w2[i][i], []) for i in range(n)]
     # -A' is a witness whenever A' is, so column 0 takes representatives only.
     by_pos[0] = by_pos[0][::2]
-    v_rows = v2.rows()
+    bits = r.bit_length() + 2
+    targets = [sum(w2[i][j] << bits * j for j in range(i)) for i in range(n)]
     cols: list[int] = []
-    images: list[list[int]] = []  # V' c for each placed column c
+    cap = _enum_cap()
+    placed = 0
 
-    def place(i: int) -> bool:
+    def place(i: int, packed: list[int]) -> bool:
+        nonlocal placed
+        target = targets[i]
         for idx in by_pos[i]:
             c = cands[idx]
-            if any(
-                sum(map(mul, c, img)) != w2[i][jpos]
-                for jpos, img in enumerate(images)
-            ):
+            if sum(map(mul, c, packed)) != target:
                 continue
+            placed += 1
+            if cap is not None and placed > cap:
+                raise ResourceLimitExceeded(f"search placements exceed KIRBY4_MAX_ENUM={cap}")
             cols.append(idx)
-            images.append(mat_vec(v_rows, c))
-            if len(cols) == n or place(i + 1):
+            image = mat_vec(v2.entries, c)
+            if len(cols) == n or place(i + 1, [p + (x << bits * i) for p, x in zip(packed, image)]):
                 return True
             cols.pop()
-            images.pop()
         return False
 
-    if not place(0):
+    if not place(0, [0] * n):
         return None
     a2 = [[cands[idx][row] for idx in cols] for row in range(n)]
     a = mat_mul(mat_mul(u_v, a2), u_w_inv)
@@ -477,5 +477,4 @@ def _negated(v: SymIntMatrix) -> SymIntMatrix:
 
 def congruent(v: SymIntMatrix, w: SymIntMatrix) -> bool:
     """True iff V = P^T W P for some integral unimodular P."""
-    ok, _ = congruent_with_witness(v, w)
-    return ok
+    return congruent_with_witness(v, w)[0]

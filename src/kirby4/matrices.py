@@ -19,8 +19,8 @@ IntRows = tuple[tuple[int, ...], ...]
 class SymIntMatrix:
     """Symmetric matrix with arbitrary-precision integer entries.
 
-    `det` and the analyses other modules keep in `memo` (the `FormClass` of
-    `forms.classify`, the pivot rows of `forms.diagonalize_over_Q`) are
+    `det` and what other modules keep in `memo` (`forms.classify`'s class,
+    `forms.diagonalize_over_Q`'s pivot rows, `forms.short_vectors`' norms) are
     computed at most once per instance.  They live on the instance alone: an
     equal matrix built separately computes them again, and neither takes part
     in equality, hashing or repr.  `neg()` hands its determinant on.
@@ -33,10 +33,10 @@ class SymIntMatrix:
     def __post_init__(self):
         if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
             raise DimensionMismatch(f"expected {self.n}x{self.n} entry grid")
-        for i in range(self.n):
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise MalformedInput(f"matrix not symmetric at ({i},{j})")
+        e = self.entries
+        if tuple(zip(*e)) != tuple(map(tuple, e)):
+            i, j = next((i, j) for i in range(self.n) for j in range(i) if e[i][j] != e[j][i])
+            raise MalformedInput(f"matrix not symmetric at ({i},{j})")
 
     @classmethod
     def from_rows(cls, rows) -> "SymIntMatrix":

@@ -5,7 +5,9 @@ checked by exhaustive search over small integer matrices, Alexander
 polynomials and knot determinants by building the Wirtinger matrix directly
 at a rational t and eliminating over exact rationals, inverses by rational
 Gauss-Jordan written out here, short vectors by walking a whole box, lattice
-reduction by a rational Gram-Schmidt and a textbook rational LLL.
+reduction by a rational Gram-Schmidt and a textbook rational LLL, the
+symmetric elimination by one that updates every column in full, and the
+first witness of a search by plain backtracking.
 """
 
 from __future__ import annotations
@@ -313,6 +315,71 @@ def textbook_lll(rows, delta=Fraction(3, 4)):
             k += 1
     u = tr(basis)
     return u, sandwich(u, rows)
+
+
+def symmetric_bareiss(rows):
+    """(P, pivot rows, diag D) of the symmetric fraction-free elimination of
+    V, with every column of P and the whole block updated at every step.
+
+    Before step i the block holds d_i times the Schur complement.  A zero
+    pivot is repaired by the congruence "column i += column k" (and row i +=
+    row k) with the first k > i pairing nonzero with i, applied at most
+    twice; P takes the same column operation.  Step i then replaces entry
+    (k, l) by (piv a_kl - a_ik a_il) / d_i and column k of P by
+    (piv p_k - a_ik p_i) / d_i for all k, l > i.  Pivot row i is row i of
+    the block from column i on, taken at pivot time."""
+    m = len(rows)
+    a = [list(r) for r in rows]
+    cols = [[int(r == k) for r in range(m)] for k in range(m)]
+    pivot_rows, diag, prev = [], [], 1
+    for i in range(m):
+        k = next((k for k in range(i + 1, m) if a[i][k]), None)
+        for _ in range(2):
+            if a[i][i] == 0:
+                for c in range(m):
+                    a[i][c] += a[k][c]
+                for r in range(m):
+                    a[r][i] += a[r][k]
+                cols[i] = [x + y for x, y in zip(cols[i], cols[k])]
+        piv = a[i][i]
+        pivot_rows.append(a[i][i:])
+        for k in range(i + 1, m):
+            for l in range(i + 1, m):
+                q, rem = divmod(piv * a[k][l] - a[i][k] * a[i][l], prev)
+                assert rem == 0
+                a[k][l] = q
+            cols[k] = [(piv * x - a[i][k] * y) // prev for x, y in zip(cols[k], cols[i])]
+        diag.append(prev * piv)
+        prev = piv
+    return [list(r) for r in zip(*cols)], pivot_rows, diag
+
+
+def first_witness(v_rows, w_rows, cands):
+    """The first A (as a list of columns) with A^T V A = W whose columns are
+    taken from `cands` in order, column 0 from the even positions only,
+    found by plain backtracking over every pairing with the placed columns;
+    None if there is none."""
+    n = len(w_rows)
+    images = [[sum(a * x for a, x in zip(row, c)) for row in v_rows] for c in cands]
+
+    def pair(pos, y):
+        return sum(a * b for a, b in zip(images[pos], y))
+
+    def place(chosen):
+        i = len(chosen)
+        if i == n:
+            return chosen
+        for pos, c in enumerate(cands):
+            if i == 0 and pos % 2:
+                continue
+            if pair(pos, c) == w_rows[i][i] and all(
+                    pair(pos, b) == w_rows[i][j] for j, b in enumerate(chosen)):
+                found = place(chosen + [c])
+                if found:
+                    return found
+        return None
+
+    return place([])
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 4):

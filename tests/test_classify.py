@@ -78,6 +78,20 @@ def test_unoriented_analyses_the_left_link_once(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("left,right,mirrored", [("chern", "cp2", False), ("cp2", "cp2_bar", True)])
+def test_unoriented_skips_the_mirror_after_ks_differ(monkeypatch, left, right, mirrored):
+    # mirroring keeps ks, so a first pass that ends in KsDiffer decides
+    from kirby4 import classify
+
+    calls = []
+    monkeypatch.setattr(classify, "mirror", lambda link: calls.append(link) or mirror(link))
+    c = corpus()
+    v = homeomorphic_unoriented(c[left], c[right])
+    assert bool(calls) == mirrored
+    assert (v.homeomorphic, v.reason) == ((True, MATCH_AFTER_REVERSAL) if mirrored
+                                          else (False, KS_DIFFER))
+
+
 def test_unoriented_rank_mismatch():
     v = homeomorphic_unoriented(unknot(1), hopf_link(0, 0))
     assert not v.homeomorphic

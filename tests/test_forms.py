@@ -32,13 +32,16 @@ from conftest import (
     block_diag,
     box_short_vectors,
     brute_force_characteristic,
+    first_witness,
     fraction_det,
     fraction_inverse,
     lll_conditions_hold,
     mat_identity,
     mul,
     random_unimodular,
+    random_unimodular_symmetric,
     sandwich,
+    symmetric_bareiss,
     textbook_lll,
 )
 
@@ -75,6 +78,57 @@ class TestDiagonalize:
     def test_not_unimodular_rejected(self):
         with pytest.raises(NotUnimodular):
             diagonalize_over_Q(S([[2]]))
+
+
+def k3_windowed(seed):
+    """-E8 + -E8 + 3H under 5 seeded transvections inside windows of 4 indices."""
+    import random
+
+    rng = random.Random(seed)
+    minus_e8 = [[-x for x in row] for row in E8_MATRIX.rows()]
+    q = mat_identity(22)
+    for _ in range(5):
+        lo = rng.randrange(19)
+        i, j = rng.sample(range(lo, lo + 4), 2)
+        s = rng.choice((1, -1))
+        for r in range(22):
+            q[r][i] += s * q[r][j]
+    return sandwich(q, block_diag(minus_e8, minus_e8, *[H.rows()] * 3))
+
+
+class TestAgainstFullColumnElimination:
+    """P keeps only the rows of each column that can be nonzero, and replays
+    the zero-pivot repairs on its rows at the end; it must equal the
+    elimination that updates every column in full."""
+
+    @pytest.mark.parametrize("rows", [
+        H.rows(), [[0, 1], [1, -2]], k3_windowed(0), k3_windowed(1), k3_windowed(2),
+        block_diag(H.rows(), [[0, 1], [1, -2]], [[1]]),
+    ])
+    def test_zero_pivot_repairs(self, rows):
+        from kirby4 import forms
+
+        v = S(rows)
+        p, d = diagonalize_over_Q(v)
+        oracle_p, pivot_rows, diag = symmetric_bareiss(rows)
+        assert [list(r) for r in p] == oracle_p
+        assert list(d.diagonal()) == diag
+        assert v.memo[forms._FACTOR] == (pivot_rows, diag)
+
+    def test_seeded_forms(self):
+        import random
+
+        repaired = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            v = random_unimodular_symmetric(rng, 1 + seed % 10, steps=2 + seed % 9,
+                                            definite=seed % 5 == 0)
+            p, d = diagonalize_over_Q(v)
+            oracle_p, _, diag = symmetric_bareiss(v.rows())
+            assert [list(r) for r in p] == oracle_p, seed
+            assert list(d.diagonal()) == diag
+            repaired += any(p[r][c] for r in range(v.n) for c in range(r))
+        assert repaired > 100  # a repair is what makes P leave upper triangular form
 
 
 def hadamard_bits(v: SymIntMatrix) -> int:
@@ -265,6 +319,20 @@ class TestShortVectors:
             short_vectors(E8_MATRIX, 12)
         assert 10 < 2 * len(found) <= 10 + 2
 
+    @pytest.mark.parametrize("name,r", [("I5", 3), ("E8", 4), ("E8_dual", 4), ("E8+I1", 2)])
+    def test_memoised_norms(self, name, r):
+        from kirby4 import forms
+
+        base = {"I5": mat_identity(5), "E8": E8_MATRIX.rows(),
+                "E8+I1": block_diag(E8_MATRIX.rows(), [[1]]),
+                "E8_dual": [[int(x) for x in row] for row in fraction_inverse(E8_MATRIX.rows())]}[name]
+        for seed in range(3):
+            v = seeded_conjugate(base, seed)
+            reps = short_vectors(v, r)[::2]
+            assert v.memo[forms._NORMS, r] == [
+                sum(x[i] * v[i][j] * x[j] for i in range(v.n) for j in range(v.n)) for x in reps]
+        assert short_vectors(v, 0) == [] and v.memo[forms._NORMS, 0] == []
+
     @pytest.mark.parametrize("case", range(30))
     def test_matches_box_oracle(self, case):
         import random
@@ -367,6 +435,23 @@ class TestCongruentDefinite:
         with pytest.raises(NotPositiveDefinite):
             congruent_definite(H, H)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_pairing_at_the_bound_identity(self, n):
+        # r = 1: the candidates +-b_j of a placed column b_j pair with it at
+        # +-r, the extremes the packed pairing must keep apart from 0
+        witness = congruent_definite(I(n), I(n))
+        assert witness == tuple(tuple(int(i + j == n - 1) for j in range(n)) for i in range(n))
+        oracle = first_witness(mat_identity(n), mat_identity(n), box_short_vectors(I(n), 1))
+        assert [list(c) for c in zip(*witness)] == [list(c) for c in oracle]
+
+    def test_pairing_at_the_bound_e8(self):
+        # an LLL-reduced E8 is its own reduction, so its witness is the first
+        # one among its 240 roots (r = 2), found here by plain backtracking
+        _, reduced = textbook_lll(E8_MATRIX.rows())
+        witness = congruent_definite(S(reduced), S(reduced))
+        oracle = first_witness(reduced, reduced, box_short_vectors(S(reduced), 2))
+        assert [list(c) for c in zip(*witness)] == [list(c) for c in oracle]
+
     def test_i9_vs_e8_plus_i1_both_orders(self):
         e8_i1 = S(block_diag(E8_MATRIX.rows(), [[1]]))
         assert congruent_with_witness(I(9), e8_i1) == (False, None)
@@ -392,6 +477,79 @@ class TestCongruentDefinite:
             assert abs(fraction_det(a)) == 1
         # both forms reduce to a basis of roots: only the 240 roots are enumerated
         assert sizes == [240] * 4
+
+
+GOLDEN_BASES = {"E8": E8_MATRIX.rows(), "I12": mat_identity(12),
+                "E8+I1": block_diag(E8_MATRIX.rows(), [[1]])}
+
+
+class TestGoldenWitnesses:
+    """Witnesses of seeded conjugates, both orders and negated, as recorded
+    in tests/golden_witnesses.json before the search packed its pairings."""
+
+    @pytest.mark.parametrize("name", list(GOLDEN_BASES))
+    def test_witnesses_unchanged(self, name):
+        import json
+        from pathlib import Path
+
+        golden = json.loads((Path(__file__).parent / "golden_witnesses.json").read_text())
+        base = GOLDEN_BASES[name]
+        for seed in range(3):
+            conj = seeded_conjugate(base, seed).rows()
+            for sign in "+-":
+                s = 1 if sign == "+" else -1
+                v, b = ([[s * x for x in row] for row in m] for m in (conj, base))
+                for order, (x, y) in (("vb", (v, b)), ("bv", (b, v))):
+                    ok, witness = congruent_with_witness(S(x), S(y))
+                    assert ok
+                    assert [list(r) for r in witness] == golden[f"{name}/{seed}/{sign}/{order}"]
+
+
+def e8_e8_and_d16_plus():
+    """E8+E8 and D16+: even, unimodular, rank 16, same theta series, not
+    congruent (Milnor 1964).  D16+ = D16 + Z h with h = (1/2, ..., 1/2) has
+    the basis e2 - e3, ..., e15 - e16, e15 + e16, h: 2h is e1 - e2 plus an
+    even combination of the others."""
+    e = lambda i: [2 * int(j == i) for j in range(16)]  # noqa: E731 (doubled)
+    basis = [[x - y for x, y in zip(e(i), e(i + 1))] for i in range(1, 15)]
+    basis += [[x + y for x, y in zip(e(14), e(15))], [1] * 16]
+    d16 = [[sum(x * y for x, y in zip(b, c)) // 4 for c in basis] for b in basis]
+    return block_diag(E8_MATRIX.rows(), E8_MATRIX.rows()), d16
+
+
+class TestSearchBudget:
+    def test_isospectral_pair_stops_within_cap(self, monkeypatch):
+        import time
+
+        e8e8, d16 = e8_e8_and_d16_plus()
+        assert fraction_det(d16) == 1 and all(d16[i][i] % 2 == 0 for i in range(16))
+        monkeypatch.setenv("KIRBY4_MAX_ENUM", "1000")
+        outcomes = []
+        for v, w in ((e8e8, d16), (d16, e8e8)):
+            start = time.perf_counter()
+            try:
+                outcomes.append(congruent_with_witness(S(v), S(w)))
+            except ResourceLimitExceeded as exc:
+                outcomes.append(str(exc))
+            assert time.perf_counter() - start < 1.0
+        assert all(o == (False, None) or "KIRBY4_MAX_ENUM" in o for o in outcomes)
+        # With E8+E8 on the right, r = 2 and both forms have 480 roots: the
+        # norm counts agree, and only the search's own budget stops it.
+        assert "search" in outcomes[1]
+
+    def test_search_cap_exits_2(self, monkeypatch, tmp_path, capsys):
+        import json
+
+        from kirby4.cli import run
+
+        e8e8, d16 = e8_e8_and_d16_plus()
+        paths = []
+        for name, m in (("d16.json", d16), ("e8e8.json", e8e8)):
+            paths.append(str(tmp_path / name))
+            (tmp_path / name).write_text(json.dumps({"entries": m}))
+        monkeypatch.setenv("KIRBY4_MAX_ENUM", "1000")
+        assert run(["form-compare", *paths]) == 2
+        assert "search placements exceed KIRBY4_MAX_ENUM=1000" in capsys.readouterr().err
 
 
 class TestCongruent:

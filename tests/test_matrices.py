@@ -98,3 +98,14 @@ class TestFromRows:
 
     def test_bool_is_an_integer(self):
         assert SymIntMatrix.from_rows([[True]]).entries == ((1,),)
+
+
+@pytest.mark.parametrize("rows,at", [
+    ([[1, 2, 3], [2, 1, 0], [4, 0, 1]], "(2,0)"),
+    ([[1, 2, 3], [2, 1, 5], [3, 0, 1]], "(2,1)"),
+    ([[1, 7], [2, 1]], "(1,0)"),
+])
+def test_asymmetric_matrix_names_the_first_entry(rows, at):
+    with pytest.raises(MalformedInput) as info:
+        SymIntMatrix.from_rows(rows)
+    assert str(info.value) == f"matrix not symmetric at {at}"
