@@ -20,7 +20,6 @@ from .diagram import (
     FramedLink,
     PDCode,
     crossing_sign,
-    is_unimodular,
     linking_matrix,
     mirror,
     parse_framed_link,
@@ -48,7 +47,6 @@ from .knot import (
     arf_invariant,
     band_sum,
     characteristic_sublink,
-    mirror_knot,
 )
 from .matrices import SymIntMatrix
 
@@ -81,10 +79,8 @@ __all__ = [
     "homeomorphic_oriented",
     "homeomorphic_unoriented",
     "intersection_form",
-    "is_unimodular",
     "kirby_siebenmann",
     "linking_matrix",
     "mirror",
-    "mirror_knot",
     "parse_framed_link",
 ]

@@ -8,13 +8,16 @@ component in traversal order, which is how orientation is encoded.
 Crossingless unknot components cannot be expressed in a PD code, so a
 framed link carries an explicit count of them, listed after the PD
 components.  A code must be planar; `FramedLink.build` counts its faces
-and rejects a virtual diagram.
+and rejects a virtual diagram.  Only a code that comes in is validated:
+mirrors and sublinks are derived from a validated link and keep it planar,
+so they skip the label, component and face checks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from operator import index
 from typing import Optional
 
@@ -62,19 +65,34 @@ class FramedLink:
             unknots, framings = index(unknots), tuple(map(index, framings))
         except TypeError as exc:
             raise MalformedInput(f"unknots and framings must be integers: {exc}") from exc
+        return cls._validated(xs, unknots, framings, name)
+
+    @classmethod
+    def _validated(cls, xs, unknots: int, framings: tuple[int, ...], name) -> "FramedLink":
+        """Validate a code whose labels are known to be positive integers."""
         if unknots < 0:
             raise MalformedInput("unknot count must be non-negative")
-        comps, succ = _pd_components(xs)
+        comps, _ = _pd_components(xs)
         _check_planar(xs)
-        over_in = _resolve_over_directions(xs, succ)
+        return cls._derived(xs, comps, unknots, framings, name)
+
+    @classmethod
+    def _derived(cls, xs, comps, unknots: int, framings: tuple[int, ...],
+                 name=None) -> "FramedLink":
+        """Assemble a link from a planar code whose PD components are `comps`.
+
+        Only the orientation is derived here, from the label successors of
+        `comps`, which rechecks every over-strand's succession and that each
+        arc has one incoming end.
+        """
+        over_in = _resolve_over_directions(xs, _successors(comps, 2 * len(xs)))
         total = len(comps) + unknots
         if len(framings) != total:
             raise FramingCountMismatch(
                 f"{len(framings)} framings for {total} components"
             )
         components = tuple(comps) + ((),) * unknots
-        arc_count = 2 * len(xs)
-        return cls(PDCode(xs, arc_count), unknots, framings, components, over_in, name)
+        return cls(PDCode(xs, 2 * len(xs)), unknots, framings, components, over_in, name)
 
     @property
     def crossings(self) -> tuple[Crossing, ...]:
@@ -83,11 +101,19 @@ class FramedLink:
     def component_count(self) -> int:
         return len(self.components)
 
-    def component_of_arc(self, arc: int) -> int:
+    @cached_property
+    def _arc_component(self) -> list[int]:
+        """Component index of every arc 1..2n; entry 0 is unused."""
+        table = [-1] * (self.pd.arc_count + 1)
         for i, comp in enumerate(self.components):
-            if comp and comp[0] <= arc <= comp[-1]:
-                return i
-        raise InvalidPD(f"arc {arc} belongs to no component")
+            for a in comp:
+                table[a] = i
+        return table
+
+    def component_of_arc(self, arc: int) -> int:
+        if not (isinstance(arc, int) and 0 < arc <= self.pd.arc_count):
+            raise InvalidPD(f"arc {arc} belongs to no component")
+        return self._arc_component[arc]
 
     def as_dict(self) -> dict:
         data = {
@@ -118,7 +144,7 @@ def _pd_components(xs: tuple[Crossing, ...]):
     must run from slot 0 to slot 2 in label succession.
     """
     if not xs:
-        return [], {}
+        return [], []
     counts: dict[int, int] = {}
     for t in xs:
         for a in t:
@@ -147,17 +173,26 @@ def _pd_components(xs: tuple[Crossing, ...]):
     for a in range(1, n_arcs + 1):
         groups.setdefault(find(a), []).append(a)
     comps = list(groups.values())
-    succ: dict[int, int] = {}
     for comp in comps:
-        lo, hi = comp[0], comp[-1]
-        if comp != list(range(lo, hi + 1)):
+        if comp[-1] - comp[0] + 1 != len(comp):
             raise InvalidPD(f"component arcs {comp} are not a consecutive block")
-        for a in comp:
-            succ[a] = a + 1 if a < hi else lo
+    succ = _successors(comps, n_arcs)
     for a, b, c, d in xs:
         if succ[a] != c:
             raise InvalidPD(f"under-strand {a}->{c} breaks label succession")
     return [tuple(c) for c in comps], succ
+
+
+def _successors(comps, n_arcs: int) -> list[int]:
+    """The next label along its component of every arc 1..n_arcs.
+
+    Each component must be one consecutive block of labels.
+    """
+    succ = list(range(1, n_arcs + 2))
+    for comp in comps:
+        if comp:
+            succ[comp[-1]] = comp[0]
+    return succ
 
 
 def _check_planar(xs: tuple[Crossing, ...]) -> None:
@@ -267,10 +302,10 @@ def parse_framed_link(text: bytes) -> FramedLink:
         raise MalformedInput('"unknots" must be an integer')
     if name is not None and not isinstance(name, str):
         raise MalformedInput('"name" must be a string')
-    for t in pd:
-        if len(t) != 4 or not all(_is_int(x) for x in t):
-            raise MalformedInput(f"crossing {t!r} is not a 4-list of integers")
-    return FramedLink.build(pd, unknots=unknots, framings=framings, name=name)
+    for t in pd:  # JSON gives exact ints, and type() rules out true and false
+        if len(t) != 4 or not all(type(x) is int and x >= 1 for x in t):
+            raise MalformedInput(f"crossing {t!r} is not a 4-list of positive integers")
+    return FramedLink._validated(tuple(map(tuple, pd)), unknots, tuple(framings), name)
 
 
 def crossing_sign(link: FramedLink, crossing_index: int) -> int:
@@ -287,12 +322,12 @@ def linking_matrix(link: FramedLink) -> SymIntMatrix:
     and j; an odd count means the code is corrupt.
     """
     m = link.component_count()
+    comp = link._arc_component
     sums = [[0] * m for _ in range(m)]
-    for k, t in enumerate(link.crossings):
-        cu = link.component_of_arc(t[0])
-        co = link.component_of_arc(t[1])
+    for t, oi in zip(link.crossings, link.over_in):
+        cu, co = comp[t[0]], comp[t[1]]
         if cu != co:
-            s = crossing_sign(link, k)
+            s = 1 if oi == 3 else -1
             sums[cu][co] += s
             sums[co][cu] += s
     entries = [[0] * m for _ in range(m)]
@@ -307,29 +342,23 @@ def linking_matrix(link: FramedLink) -> SymIntMatrix:
     return SymIntMatrix.from_rows(entries)
 
 
-def is_unimodular(v: SymIntMatrix) -> bool:
-    """True iff det(v) is +1 or -1, computed in exact integer arithmetic."""
-    return v.is_unimodular()
-
-
-def _swap_over_under(crossings, over_in) -> list[Crossing]:
-    """Rotate each crossing so that its incoming over-arc lands in slot 0."""
-    return [
-        (d, a, b, c) if oi == 3 else (b, c, d, a)
-        for (a, b, c, d), oi in zip(crossings, over_in)
-    ]
-
-
 def mirror(link: FramedLink) -> FramedLink:
     """Swap over/under at every crossing and negate all framings.
 
     Each tuple is rotated so that the old incoming over-arc becomes the new
     incoming under-arc, which keeps every strand's orientation intact; the
-    linking matrix of the result is the negation of the original.
+    linking matrix of the result is the negation of the original.  The
+    rotation keeps each crossing's counterclockwise order and the labels,
+    so the mirror is planar with the same components.
     """
-    return FramedLink.build(
-        _swap_over_under(link.crossings, link.over_in),
-        unknots=link.unknots,
-        framings=[-f for f in link.framings],
-        name=link.name,
+    xs = tuple(
+        (d, a, b, c) if oi == 3 else (b, c, d, a)
+        for (a, b, c, d), oi in zip(link.crossings, link.over_in)
+    )
+    return FramedLink._derived(
+        xs,
+        link.components[: len(link.components) - link.unknots],
+        link.unknots,
+        tuple(-f for f in link.framings),
+        link.name,
     )

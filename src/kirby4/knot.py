@@ -8,7 +8,10 @@ corner between slots 0 and 1 of that crossing, which the two crossing arcs
 bound, so the band meets no strand; it takes one half-twist crossing when
 the over strand enters at slot 1.  A component sharing no crossing lies in
 a separate diagram piece and is joined by a split fusion.  Each fusion thus
-adds at most one crossing.
+adds at most one crossing.  Deleting components and banding in a face
+corner or between pieces keep a diagram planar and its labels in blocks, so
+sublinks and band sums re-derive only their orientation; the component
+search and face check are for codes read from input.
 
 The Alexander polynomial, from which the knot determinant and the Arf
 invariant are read, is one integer determinant by Kronecker substitution.
@@ -17,15 +20,17 @@ invariant are read, is one integer determinant by Kronecker substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Optional, Sequence
 
 from .diagram import (
     Crossing,
     FramedLink,
     PDCode,
+    _normalize_crossings,
     _pd_components,
     _resolve_over_directions,
-    _swap_over_under,
+    _successors,
 )
 from .errors import (
     InternalInvariantViolation,
@@ -38,24 +43,22 @@ from .matrices import bareiss_det
 
 @dataclass(frozen=True)
 class KnotDiagram:
-    """A one-component diagram plus a record of how it was produced."""
+    """A one-component diagram."""
 
     pd: PDCode
     over_in: tuple[int, ...]
-    derivation: tuple[str, ...] = ()
 
     @classmethod
-    def build(cls, crossings, derivation: tuple[str, ...] = ()) -> "KnotDiagram":
-        xs = tuple(tuple(int(x) for x in t) for t in crossings)
+    def build(cls, crossings) -> "KnotDiagram":
+        xs = _normalize_crossings(crossings)
         comps, succ = _pd_components(xs)
         if xs and len(comps) != 1:
             raise NotAKnot(f"diagram has {len(comps)} components")
-        over_in = _resolve_over_directions(xs, succ)
-        return cls(PDCode(xs, 2 * len(xs)), over_in, derivation)
+        return cls(PDCode(xs, 2 * len(xs)), _resolve_over_directions(xs, succ))
 
     @classmethod
-    def unknot(cls, derivation: tuple[str, ...] = ()) -> "KnotDiagram":
-        return cls(PDCode((), 0), (), derivation)
+    def unknot(cls) -> "KnotDiagram":
+        return cls(PDCode((), 0), ())
 
     @property
     def crossings(self) -> tuple[Crossing, ...]:
@@ -79,23 +82,6 @@ class IntPolynomial:
         return sum(-c if e % 2 else c for e, c in self.coeffs)
 
 
-def mirror_knot(k: KnotDiagram) -> KnotDiagram:
-    """Swap over and under strands at every crossing of a knot diagram."""
-    new = _swap_over_under(k.crossings, k.over_in)
-    return KnotDiagram.build(new, derivation=k.derivation + ("mirrored",))
-
-
-def _arc_ends(crossings, over_in):
-    """Map each arc to its head (incoming) and tail (outgoing) end slots."""
-    ends: dict[int, dict[str, tuple[int, int]]] = {}
-    for k, t in enumerate(crossings):
-        oi = over_in[k]
-        oo = 4 - oi
-        for kind, slot in (("head", 0), ("tail", 2), ("head", oi), ("tail", oo)):
-            ends.setdefault(t[slot], {})[kind] = (k, slot)
-    return ends
-
-
 def characteristic_sublink(link: FramedLink, c: Sequence[int]) -> FramedLink:
     """The sub-diagram of the components marked 1 in the 0/1 vector c.
 
@@ -103,91 +89,105 @@ def characteristic_sublink(link: FramedLink, c: Sequence[int]) -> FramedLink:
     merge through them, and arcs are relabelled consecutively.  Components
     left with no crossings become explicit crossingless unknots.
     """
-    cvec = tuple(int(x) for x in c)
+    try:
+        cvec = tuple(map(index, c))
+    except TypeError as exc:
+        raise MalformedInput(f"characteristic vector entries must be integers: {exc}") from exc
     if len(cvec) != link.component_count():
         raise LengthMismatch(
             f"vector of length {len(cvec)} for {link.component_count()} components"
         )
     if any(x not in (0, 1) for x in cvec):
         raise MalformedInput("characteristic vector entries must be 0 or 1")
-    keep = {i for i, x in enumerate(cvec) if x == 1}
 
+    xs, comp_of = link.crossings, link._arc_component
     surviving = []
-    for k, t in enumerate(link.crossings):
-        cu = link.component_of_arc(t[0])
-        co = link.component_of_arc(t[1])
-        if cu in keep and co in keep:
-            surviving.append(k)
-    surv = set(surviving)
-    ends = _arc_ends(link.crossings, link.over_in)
+    closes = [False] * len(comp_of)  # an old arc ends a new one at a surviving crossing
+    for t, oi in zip(xs, link.over_in):
+        if cvec[comp_of[t[0]]] and cvec[comp_of[t[1]]]:
+            surviving.append(t)
+            closes[t[0]] = closes[t[oi]] = True
 
-    arc_map: dict[int, int] = {}
-    next_label = 1
+    arc_map = [0] * len(comp_of)
+    label = 1
+    comps: list[tuple[int, ...]] = []
     kept_framings: list[int] = []
     unknot_framings: list[int] = []
-    for i in sorted(keep):
-        comp = link.components[i]
-        if not comp:
-            unknot_framings.append(link.framings[i])
+    for i, x in enumerate(cvec):
+        if not x:
             continue
-        boundaries = [idx for idx, a in enumerate(comp) if ends[a]["head"][0] in surv]
-        if not boundaries:
+        comp = link.components[i]
+        cuts = [idx for idx, a in enumerate(comp) if closes[a]]
+        if not cuts:
             unknot_framings.append(link.framings[i])
             continue
         kept_framings.append(link.framings[i])
-        # One new arc per surviving boundary, walked in traversal order.
-        m = len(comp)
-        for bpos in range(len(boundaries)):
-            start = (boundaries[bpos - 1] + 1) % m
-            end = boundaries[bpos]
-            idx = start
-            while True:
-                arc_map[comp[idx]] = next_label + bpos
-                if idx == end:
-                    break
-                idx = (idx + 1) % m
-        next_label += len(boundaries)
-    new_crossings = [
-        tuple(arc_map[a] for a in link.crossings[k]) for k in surviving
-    ]
-    return FramedLink.build(
-        new_crossings,
-        unknots=len(unknot_framings),
-        framings=kept_framings + unknot_framings,
-        name=None,
+        # One new arc per cut, numbered in traversal order.
+        lo, start = label, cuts[-1] + 1
+        for a in comp[start:] + comp[:start]:
+            arc_map[a] = label
+            label += closes[a]
+        comps.append(tuple(range(lo, label)))
+    new_crossings = tuple(
+        (arc_map[a], arc_map[b], arc_map[c], arc_map[d]) for a, b, c, d in surviving
+    )
+    return FramedLink._derived(
+        new_crossings, comps, len(unknot_framings), tuple(kept_framings + unknot_framings)
     )
 
 
 class _Surgery:
-    """Mutable strand-level diagram state used while banding components."""
+    """Mutable strand-level diagram state used while banding components.
 
-    def __init__(self, link: FramedLink):
+    Components are keyed by their place after `order`: the running knot is
+    key 0, and every other key lasts until its component is banded onto it.
+    Tables indexed by arc hold each arc's head and tail end, as (crossing,
+    slot), and the key of the component it lies on.
+    """
+
+    def __init__(self, link: FramedLink, order):
         self.crossings: list[list[int]] = [list(t) for t in link.crossings]
         self.over_in: list[int] = list(link.over_in)
-        self.ends = _arc_ends(link.crossings, link.over_in)
-        self.comps: list[list[int]] = [list(c) for c in link.components]
-        self._next = link.pd.arc_count + 1
-        self.derivation: list[str] = []
+        size = link.pd.arc_count + 1  # arcs are 1..2n; entry 0 is unused
+        self.head: list = [None] * size
+        self.tail: list = [None] * size
+        for k, (t, oi) in enumerate(zip(link.crossings, link.over_in)):
+            self.head[t[0]], self.tail[t[2]] = (k, 0), (k, 2)
+            self.head[t[oi]], self.tail[t[4 - oi]] = (k, oi), (k, 4 - oi)
+        comps = link.components if order is None else [link.components[i] for i in order]
+        self.comps = {key: list(comp) for key, comp in enumerate(comps)}
+        self.owner = [0] * size
+        for key, comp in self.comps.items():
+            for a in comp:
+                self.owner[a] = key
 
     def fresh(self) -> int:
-        a = self._next
-        self._next += 1
-        return a
+        self.head.append(None)
+        self.tail.append(None)
+        self.owner.append(0)
+        return len(self.owner) - 1
 
-    def rewire(self, pos: tuple[int, int], arc: int, kind: str) -> None:
+    def rewire(self, pos: tuple[int, int], arc: int, ends: list) -> None:
         self.crossings[pos[0]][pos[1]] = arc
-        self.ends.setdefault(arc, {})[kind] = pos
+        ends[arc] = pos
 
-    def join(self, ci: int, cj: int, alpha: int, alphap: int, twist_in=None) -> None:
-        """Band arc alpha of component ci to arc alphap of component cj.
+    def absorb(self, cj: int) -> list[int]:
+        """Remove component cj and hand its arcs to the running knot."""
+        arcs = self.comps.pop(cj)
+        for a in arcs:
+            self.owner[a] = 0
+        return arcs
+
+    def join(self, cj: int, alpha: int, alphap: int, twist_in=None) -> None:
+        """Band arc alpha of the running knot to arc alphap of component cj.
 
         The band sides replace both arcs: g runs from alpha's tail to
         alphap's head, h from alphap's tail to alpha's head.  With twist_in
         set, the sides cross once in a half-twist, h over g and entering at
         slot twist_in.
         """
-        ta, ha = self.ends[alpha]["tail"], self.ends[alpha]["head"]
-        tb, hb = self.ends[alphap]["tail"], self.ends[alphap]["head"]
+        ta, ha = self.tail[alpha], self.head[alpha]
+        tb, hb = self.tail[alphap], self.head[alphap]
         g, h = [self.fresh()], [self.fresh()]
         if twist_in is not None:
             g.append(self.fresh())
@@ -195,38 +195,29 @@ class _Surgery:
             kt = len(self.crossings)
             self.crossings.append([0, 0, 0, 0])
             self.over_in.append(twist_in)
-            self.rewire((kt, 0), g[0], "head")
-            self.rewire((kt, 2), g[1], "tail")
-            self.rewire((kt, twist_in), h[0], "head")
-            self.rewire((kt, 4 - twist_in), h[1], "tail")
-        self.rewire(ta, g[0], "tail")
-        self.rewire(hb, g[-1], "head")
-        self.rewire(tb, h[0], "tail")
-        self.rewire(ha, h[-1], "head")
-        a_arcs, b_arcs = self.comps[ci], self.comps[cj]
+            self.rewire((kt, 0), g[0], self.head)
+            self.rewire((kt, 2), g[1], self.tail)
+            self.rewire((kt, twist_in), h[0], self.head)
+            self.rewire((kt, 4 - twist_in), h[1], self.tail)
+        self.rewire(ta, g[0], self.tail)
+        self.rewire(hb, g[-1], self.head)
+        self.rewire(tb, h[0], self.tail)
+        self.rewire(ha, h[-1], self.head)
+        a_arcs, b_arcs = self.comps[0], self.absorb(cj)
         ia, ib = a_arcs.index(alpha), b_arcs.index(alphap)
-        rot_a = a_arcs[ia:] + a_arcs[:ia]
-        rot_b = b_arcs[ib:] + b_arcs[:ib]
-        self.comps[ci] = g + rot_b[1:] + h + rot_a[1:]
-        del self.comps[cj]
+        self.comps[0] = g + b_arcs[ib + 1:] + b_arcs[:ib] + h + a_arcs[ia + 1:] + a_arcs[:ia]
 
-    def fuse_trivial(self, ci: int, cj: int, alpha, alphap) -> None:
-        """Band two components whose diagrams share no face: a split fusion."""
-        a_arcs, b_arcs = self.comps[ci], self.comps[cj]
-        if not b_arcs:
-            self.derivation.append("absorbed crossingless unknot")
+    def fuse_trivial(self, cj: int, alpha, alphap) -> None:
+        """Band component cj on, sharing no face with the running knot: a split fusion."""
+        if not self.comps[cj]:
             del self.comps[cj]
-            return
-        if not a_arcs:
-            self.derivation.append("absorbed crossingless unknot")
-            self.comps[ci] = b_arcs
-            del self.comps[cj]
-            return
-        self.join(ci, cj, alpha, alphap)
-        self.derivation.append(f"split fusion at arcs ({alpha},{alphap})")
+        elif not self.comps[0]:
+            self.comps[0] = self.absorb(cj)
+        else:
+            self.join(cj, alpha, alphap)
 
-    def fuse_banded(self, ci: int, cj: int, k: int) -> None:
-        """Band two components in the face corner between slots 0 and 1 of crossing k.
+    def fuse_banded(self, cj: int, k: int) -> None:
+        """Band component cj on in the face corner between slots 0 and 1 of crossing k.
 
         The arcs in slots 0 and 1, one from each component, bound that
         corner, so the band crosses no strand.  When the over strand enters
@@ -235,15 +226,11 @@ class _Surgery:
         chirality depends on which of the two arcs the running knot holds.
         """
         t = self.crossings[k]
-        alpha, alphap = (t[0], t[1]) if t[0] in self.comps[ci] else (t[1], t[0])
+        alpha, alphap = (t[0], t[1]) if self.owner[t[0]] == 0 else (t[1], t[0])
         twist_in = None
         if self.over_in[k] == 1:
             twist_in = 3 if alpha == t[1] else 1
-        self.join(ci, cj, alpha, alphap, twist_in)
-        self.derivation.append(
-            f"banded fusion at crossing {k}, arcs ({alpha},{alphap}),"
-            f" half-twist={'no' if twist_in is None else 'yes'}"
-        )
+        self.join(cj, alpha, alphap, twist_in)
 
 
 def band_sum(
@@ -265,42 +252,42 @@ def band_sum(
     invariants downstream must not depend on it.  The empty diagram yields
     the crossingless unknot.
     """
-    st = _Surgery(sub)
-    if order is not None:
-        if sorted(order) != list(range(len(st.comps))):
-            raise MalformedInput("order must be a permutation of the components")
-        st.comps = [st.comps[i] for i in order]
-        st.derivation.append(f"component order {list(order)}")
-    if not st.comps:
-        return KnotDiagram.unknot(derivation=("empty sublink represents the unknot",))
+    if order is not None and sorted(order) != list(range(sub.component_count())):
+        raise MalformedInput("order must be a permutation of the components")
+    if not sub.components:
+        return KnotDiagram.unknot()
+    st = _Surgery(sub, order)
 
     def pick(arcs):
         return sorted(arcs)[arc_offset % len(arcs)] if arcs else None
 
+    owner = st.owner
     while len(st.comps) > 1:
-        owner = {a: i for i, comp in enumerate(st.comps) for a in comp}
         shared: dict[int, list[int]] = {}
         for k, t in enumerate(st.crossings):
-            pair = {owner[t[0]], owner[t[1]]}
-            if 0 in pair and len(pair) == 2:
-                shared.setdefault(max(pair), []).append(k)
+            o, p = owner[t[0]], owner[t[1]]
+            if o != p and not (o and p):  # exactly one strand on the running knot
+                shared.setdefault(o or p, []).append(k)
         if shared:
             j = min(shared)
-            st.fuse_banded(0, j, shared[j][arc_offset % len(shared[j])])
+            st.fuse_banded(j, shared[j][arc_offset % len(shared[j])])
         else:
-            st.fuse_trivial(0, 1, pick(st.comps[0]), pick(st.comps[1]))
+            j = min(st.comps.keys() - {0})
+            st.fuse_trivial(j, pick(st.comps[0]), pick(st.comps[j]))
 
     cyc = st.comps[0]
     if not cyc:
-        return KnotDiagram.unknot(derivation=tuple(st.derivation))
+        return KnotDiagram.unknot()
     start = cyc.index(min(cyc))
-    cyc = cyc[start:] + cyc[:start]
-    label = {arc: i + 1 for i, arc in enumerate(cyc)}
-    tuples = [tuple(label[a] for a in t) for t in st.crossings]
-    kd = KnotDiagram.build(tuples, derivation=tuple(st.derivation))
-    if kd.over_in != tuple(st.over_in):
+    label = [0] * len(owner)
+    for i, a in enumerate(cyc[start:] + cyc[:start], 1):
+        label[a] = i
+    xs = tuple((label[a], label[b], label[c], label[d]) for a, b, c, d in st.crossings)
+    # K_c is one cycle of labels 1..2n, so only its orientation is derived.
+    over_in = _resolve_over_directions(xs, _successors([range(1, len(cyc) + 1)], len(cyc)))
+    if over_in != tuple(st.over_in):
         raise InternalInvariantViolation("banded diagram signs disagree with construction")
-    return kd
+    return KnotDiagram(PDCode(xs, len(cyc)), over_in)
 
 
 # --- Alexander polynomial via the Wirtinger presentation and Fox calculus ---

@@ -7,7 +7,6 @@ import pytest
 from kirby4.diagram import (
     FramedLink,
     crossing_sign,
-    is_unimodular,
     linking_matrix,
     mirror,
     parse_framed_link,
@@ -88,6 +87,42 @@ class TestBuild:
         assert FramedLink.build([], unknots=True, framings=[False]).framings == (0,)
 
 
+class TestInputBoundary:
+    """Parsing and `FramedLink.build` validate every code that comes in."""
+
+    CASES = {
+        "label_zero": ([[0, 3, 2, 4], [3, 1, 4, 2]], [0, 0], MalformedInput),
+        "negative_label": ([[-1, 3, 2, 4], [3, 1, 4, 2]], [0, 0], MalformedInput),
+        "label_above_2n": ([[1, 3, 2, 5], [3, 1, 4, 2]], [0, 0], InvalidPD),
+        "float_label": ([[1.0, 3, 2, 4], [3, 1, 4, 2]], [0, 0], MalformedInput),
+        "non_planar": ([[4, 3, 1, 2], [1, 3, 2, 4]], [1], InvalidPD),
+        "broken_under_strand": ([[1, 2, 4, 3], [4, 1, 3, 2]], [0, 0], InvalidPD),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_parse_and_build_reject(self, case):
+        pd, framings, error = self.CASES[case]
+        with pytest.raises(error):
+            parse_framed_link(encode(pd, framings))
+        with pytest.raises(error):
+            FramedLink.build(pd, framings=framings)
+
+    def test_boolean_label_rejected_by_parse(self):
+        with pytest.raises(MalformedInput):
+            parse_framed_link(encode([[True, 3, 2, 4], [3, 1, 4, 2]], [0, 0]))
+
+    def test_component_of_arc_out_of_range(self):
+        link = FramedLink.build(HOPF, framings=[0, 0])
+        assert [link.component_of_arc(a) for a in range(1, 5)] == [0, 0, 1, 1]
+        for arc in (0, 5, 1.5):
+            with pytest.raises(InvalidPD):
+                link.component_of_arc(arc)
+        unknots = FramedLink.build([], unknots=2, framings=[1, 1])
+        for arc in (0, 1, 2):
+            with pytest.raises(InvalidPD):
+                unknots.component_of_arc(arc)
+
+
 class TestCrossingSign:
     def test_hopf_positive(self):
         link = FramedLink.build(HOPF, framings=[0, 0])
@@ -150,16 +185,16 @@ class TestLinkingMatrix:
 
 class TestUnimodular:
     def test_hopf_true(self):
-        assert is_unimodular(S([[0, 1], [1, 0]]))
+        assert S([[0, 1], [1, 0]]).is_unimodular()
 
     def test_two_false(self):
-        assert not is_unimodular(S([[2]]))
+        assert not S([[2]]).is_unimodular()
 
     def test_e8_true(self):
-        assert is_unimodular(E8_MATRIX)
+        assert E8_MATRIX.is_unimodular()
 
     def test_empty_true(self):
-        assert is_unimodular(S([]))
+        assert S([]).is_unimodular()
 
 
 class TestMirror:

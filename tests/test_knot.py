@@ -1,5 +1,7 @@
 """Sublinks, band sums, Alexander evaluation, Arf."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,9 @@ from kirby4.fixtures import (
     FIGURE_EIGHT_PD,
     TREFOIL_PD,
     clasp_link,
+    corpus,
     hopf_link,
+    insert_kink,
     split_union,
     tie_trefoil,
     trefoil,
@@ -23,7 +27,6 @@ from kirby4.knot import (
     arf_invariant,
     band_sum,
     characteristic_sublink,
-    mirror_knot,
 )
 
 from conftest import S, pd_face_count, wirtinger_determinant_recount, wirtinger_minor_at
@@ -37,6 +40,12 @@ UNKNOT = KnotDiagram.unknot()
 CHAIN_FRAMINGS = [(1, 1, 3, 1), (1, 1, 1, 3, 3), (1, 1, 1, 3, -1, -1)]
 LONG_CHAIN_FRAMINGS = [(1, 1, 1, 3, -1, 3, 1), (1, 1, 1, 1, 1, 3, 3, 3),
                        (1, 3, 1, 1, 3, 1, 3, 3, 1, 1, 3, 1)]
+
+
+def mirror_knot(k):
+    """Swap over and under at every crossing of a knot diagram."""
+    link = FramedLink.build(k.crossings, framings=[0] * bool(k.crossings))
+    return KnotDiagram.build(mirror(link).crossings)
 
 
 def chain_link(framings):
@@ -108,6 +117,61 @@ class TestCharacteristicSublink:
         with pytest.raises(MalformedInput):
             characteristic_sublink(hopf_link(0, 0), (2, 0))
 
+    def test_non_integer_entries_rejected(self):
+        with pytest.raises(MalformedInput):
+            characteristic_sublink(hopf_link(0, 0), [1.5, 1])
+
+
+def seeded_links(seed=5, count=6):
+    """Clasp chains with random framings and clasps, trefoils tied in,
+    kinks inserted, and split unions with the corpus."""
+    rng = random.Random(seed)
+    links = list(corpus().values())
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.randint(-3, 3)
+            if i + 1 < n:
+                rows[i][i + 1] = rows[i + 1][i] = rng.choice((-2, -1, 1, 2))
+        link = tie_trefoil(clasp_link(S(rows)), rng.randrange(n))
+        link = insert_kink(link, rng.randint(1, 2 * len(link.crossings)), rng.choice((1, -1)))
+        links += [link, split_union(link, rng.choice(links))]
+    return links
+
+
+def sublink_vectors(link, rng):
+    """Every 0/1 vector for up to four components, else a seeded sample."""
+    m = link.component_count()
+    if m <= 4:
+        return list(itertools.product((0, 1), repeat=m))
+    return [tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(12)]
+
+
+class TestDerivedDiagrams:
+    """Sublinks, mirrors and band sums skip validation, so they must equal
+    what validating their own crossings gives."""
+
+    def test_mirror_equals_built(self):
+        for link in seeded_links():
+            m = mirror(link)
+            assert m == FramedLink.build(
+                m.crossings, unknots=m.unknots, framings=m.framings, name=m.name
+            )
+
+    def test_sublinks_and_band_sums_equal_built(self):
+        rng = random.Random(11)
+        for link in seeded_links():
+            for c in sublink_vectors(link, rng):
+                sub = characteristic_sublink(link, c)
+                assert sub == FramedLink.build(
+                    sub.crossings, unknots=sub.unknots, framings=sub.framings
+                ), (link.name, c)
+                kc = band_sum(sub)
+                if kc.crossings:
+                    assert pd_face_count(kc.crossings) == len(kc.crossings) + 2
+                    assert KnotDiagram.build(kc.crossings) == kc
+
 
 class TestBandSum:
     def test_empty_gives_unknot(self):
@@ -173,7 +237,7 @@ class TestBandSum:
         for sub in chain_sublinks():
             bound = len(sub.crossings) + sub.component_count() - 1
             for k in band_variants(sub):
-                assert len(k.crossings) <= bound, k.derivation
+                assert len(k.crossings) <= bound
                 assert pd_face_count(k.crossings) == len(k.crossings) + 2
 
     def test_chain_band_sums_match_recount(self):
@@ -187,16 +251,16 @@ class TestBandSum:
     def test_half_twist_taken_both_ways(self):
         # Every crossing of this clasp is positive, so its over strands enter
         # at slot 3 and no band twists; in its mirror every band twists, and
-        # the two orders put the running knot on either strand.
+        # the two orders put the running knot on either strand.  A twisted
+        # band adds exactly one crossing and every other fusion adds none.
         link = clasp_link(S([[1, 2], [2, 3]]))
         twists = set()
-        for k in [*band_variants(link), *band_variants(mirror(link))]:
-            assert pd_face_count(k.crossings) == len(k.crossings) + 2
-            assert alexander_at_minus_one(k) == wirtinger_determinant_recount(k.crossings)
-            twists.update(
-                step.rsplit("=", 1)[1] for step in k.derivation if step.startswith("banded")
-            )
-        assert twists == {"yes", "no"}
+        for sub in (link, mirror(link)):
+            for k in band_variants(sub):
+                assert pd_face_count(k.crossings) == len(k.crossings) + 2
+                assert alexander_at_minus_one(k) == wirtinger_determinant_recount(k.crossings)
+                twists.add(len(k.crossings) - len(sub.crossings))
+        assert twists == {0, 1}
 
     def test_bad_order_rejected(self):
         with pytest.raises(MalformedInput):
@@ -270,6 +334,10 @@ class TestAlexander:
                 value = sum(c * Fraction(t) ** e for e, c in p.coeffs)
                 assert value == wirtinger_minor_at(k.crossings, t), (copies, t)
             assert abs(p.at_minus_one()) == single ** copies
+
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(MalformedInput):
+            KnotDiagram.build([(1.9, 4, 2.2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])
 
     def test_multi_component_rejected(self):
         with pytest.raises(NotAKnot):
