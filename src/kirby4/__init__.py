@@ -18,7 +18,6 @@ from .classify import (
 )
 from .diagram import (
     FramedLink,
-    PDCode,
     crossing_sign,
     linking_matrix,
     mirror,
@@ -61,7 +60,6 @@ __all__ = [
     "KirbyError",
     "KnotDiagram",
     "ManifoldInvariants",
-    "PDCode",
     "ResourceLimitExceeded",
     "SymIntMatrix",
     "Verdict",

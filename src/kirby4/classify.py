@@ -9,7 +9,7 @@ against the second diagram and against its mirror.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .diagram import FramedLink, mirror
@@ -49,15 +49,6 @@ class Verdict:
         }
 
 
-def _smooth_forms_match(left, right) -> bool:
-    """Form comparison assuming both manifolds are smooth.
-
-    Definite forms of smooth manifolds are diagonalizable over the integers,
-    so rank, signature, and parity decide congruence without enumeration.
-    """
-    return classify_form(left) == classify_form(right)
-
-
 def homeomorphic_oriented(
     left: FramedLink, right: FramedLink, *, smooth: bool = False
 ) -> Verdict:
@@ -79,7 +70,10 @@ def _analyse(link: FramedLink, smooth: bool):
 def _compare(li, right: FramedLink, smooth: bool) -> Verdict:
     """The oriented decision against `right`, given the left side's analysis."""
     if smooth:
-        ok = _smooth_forms_match(li, intersection_form(right))
+        # Definite forms of smooth manifolds are diagonalizable over the
+        # integers, so rank, signature and parity decide congruence without
+        # enumeration.
+        ok = classify_form(li) == classify_form(intersection_form(right))
         return Verdict(ok, True, None, None, None, MATCH if ok else FORMS_NOT_CONGRUENT)
     ri = kirby_siebenmann(right)
     if li.ks != ri.ks:
@@ -102,13 +96,10 @@ def homeomorphic_unoriented(
     """
     li = _analyse(left, smooth)
     first = _compare(li, right, smooth)
-    if first.homeomorphic:
-        return Verdict(True, False, first.left, first.right,
-                       first.congruence_witness, MATCH)
-    if first.reason == KS_DIFFER:  # ks(-M) = ks(M): the mirror cannot match
-        return Verdict(False, False, first.left, first.right, None, KS_DIFFER)
+    # ks(-M) = ks(M): after KsDiffer the mirror cannot match
+    if first.homeomorphic or first.reason == KS_DIFFER:
+        return replace(first, oriented=False)
     second = _compare(li, mirror(right), smooth)
     if second.homeomorphic:
-        return Verdict(True, False, second.left, second.right,
-                       second.congruence_witness, MATCH_AFTER_REVERSAL)
-    return Verdict(False, False, first.left, first.right, None, first.reason)
+        return replace(second, oriented=False, reason=MATCH_AFTER_REVERSAL)
+    return replace(first, oriented=False)

@@ -92,10 +92,8 @@ def _cmd_arf(args):
     link = _load_link(args.link)
     if link.component_count() != 1:
         raise NotAKnot(f"arf needs one component, got {link.component_count()}")
-    knot = (
-        KnotDiagram.build(link.crossings) if link.crossings else KnotDiagram.unknot()
-    )
-    det = alexander_at_minus_one(knot)
+    # The parse has validated the code, so the link's crossings are the knot.
+    det = alexander_at_minus_one(KnotDiagram(link.crossings, link.over_in))
     return {"arf": _arf_from_determinant(det), "determinant": det}
 
 

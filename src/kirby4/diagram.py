@@ -7,10 +7,11 @@ occupies slots 1 and 3.  Arc labels run 1..N and are consecutive along each
 component in traversal order, which is how orientation is encoded.
 Crossingless unknot components cannot be expressed in a PD code, so a
 framed link carries an explicit count of them, listed after the PD
-components.  A code must be planar; `FramedLink.build` counts its faces
-and rejects a virtual diagram.  Only a code that comes in is validated:
-mirrors and sublinks are derived from a validated link and keep it planar,
-so they skip the label, component and face checks.
+components.  A code must be planar; `FramedLink.build` and
+`KnotDiagram.build` count its faces and reject a virtual diagram.  Only a
+code that comes in is validated: mirrors and sublinks are derived from a
+validated link and keep it planar, so they skip the label, component and
+face checks.
 """
 
 from __future__ import annotations
@@ -33,14 +34,6 @@ Crossing = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
-class PDCode:
-    """A planar diagram code: crossing tuples plus the total arc count."""
-
-    crossings: tuple[Crossing, ...]
-    arc_count: int
-
-
-@dataclass(frozen=True)
 class FramedLink:
     """An ordered, oriented link diagram with one integer framing per component.
 
@@ -50,7 +43,7 @@ class FramedLink:
     derived during validation and determines every crossing sign.
     """
 
-    pd: PDCode
+    crossings: tuple[Crossing, ...]
     unknots: int
     framings: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
@@ -92,11 +85,7 @@ class FramedLink:
                 f"{len(framings)} framings for {total} components"
             )
         components = tuple(comps) + ((),) * unknots
-        return cls(PDCode(xs, 2 * len(xs)), unknots, framings, components, over_in, name)
-
-    @property
-    def crossings(self) -> tuple[Crossing, ...]:
-        return self.pd.crossings
+        return cls(xs, unknots, framings, components, over_in, name)
 
     def component_count(self) -> int:
         return len(self.components)
@@ -104,14 +93,14 @@ class FramedLink:
     @cached_property
     def _arc_component(self) -> list[int]:
         """Component index of every arc 1..2n; entry 0 is unused."""
-        table = [-1] * (self.pd.arc_count + 1)
+        table = [-1] * (2 * len(self.crossings) + 1)
         for i, comp in enumerate(self.components):
             for a in comp:
                 table[a] = i
         return table
 
     def component_of_arc(self, arc: int) -> int:
-        if not (isinstance(arc, int) and 0 < arc <= self.pd.arc_count):
+        if not (isinstance(arc, int) and 0 < arc <= 2 * len(self.crossings)):
             raise InvalidPD(f"arc {arc} belongs to no component")
         return self._arc_component[arc]
 

@@ -13,7 +13,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .diagram import FramedLink
+from .diagram import Crossing, FramedLink
 from .errors import MalformedInput
 from .matrices import SymIntMatrix
 
@@ -144,7 +144,7 @@ def split_union(a: FramedLink, b: FramedLink, name=None) -> FramedLink:
     """Disjoint union of two diagrams; presents the connected sum of the
     manifolds.  PD components keep their order (a's, then b's); crossingless
     unknots of both go last."""
-    shift = a.pd.arc_count
+    shift = 2 * len(a.crossings)
     xs = list(a.crossings) + [tuple(x + shift for x in t) for t in b.crossings]
     a_pd = len(a.components) - a.unknots
     b_pd = len(b.components) - b.unknots
@@ -171,37 +171,37 @@ def tie_trefoil(link: FramedLink, component: int, name=None) -> FramedLink:
         if link.unknots != 1 or len(others) != 1:
             raise MalformedInput("tie into split diagrams one component at a time")
         return trefoil(others[0], name=name)
-    target = comp[0]
-    # Host arc `target` becomes target .. target+6 along the tangle: the first
-    # piece enters the tangle and target+6 leaves it; labels above shift by 6
-    # so every component keeps a consecutive block.
-    t0 = target
-    tangle = [
+    # Host arc t0 becomes t0 .. t0+6 along the tangle: the first piece enters
+    # the tangle and t0+6 leaves it.
+    t0 = comp[0]
+    new = _cut_arc(link, t0, 6)
+    new.extend([
         (t0 + 1, t0 + 4, t0 + 2, t0 + 5),
         (t0 + 3, t0, t0 + 4, t0 + 1),
         (t0 + 5, t0 + 2, t0 + 6, t0 + 3),
-    ]
-    new = []
-    for k, t in enumerate(link.crossings):
-        mapped = []
-        for s, a in enumerate(t):
-            if a == target:
-                mapped.append(t0 + 6 if _is_incoming(link, k, s) else t0)
-            else:
-                mapped.append(a if a < target else a + 6)
-        new.append(tuple(mapped))
-    new.extend(tangle)
+    ])
     return FramedLink.build(
         new, unknots=link.unknots, framings=link.framings, name=name
     )
 
 
-def _is_incoming(link: FramedLink, k: int, slot: int) -> bool:
-    if slot == 0:
-        return True
-    if slot == 2:
-        return False
-    return slot == link.over_in[k]
+def _cut_arc(link: FramedLink, arc: int, width: int) -> list[Crossing]:
+    """The link's crossings with `arc` cut open to make room for `width` labels.
+
+    The crossing the arc runs into now receives arc + width, and every label
+    above arc shifts by width, so each component keeps a consecutive block.
+    """
+    new = []
+    for k, t in enumerate(link.crossings):
+        mapped = []
+        for s, a in enumerate(t):
+            if a == arc:
+                incoming = s == 0 or s == link.over_in[k]  # over_in is 1 or 3, never 2
+                mapped.append(arc + width if incoming else arc)
+            else:
+                mapped.append(a if a < arc else a + width)
+        new.append(tuple(mapped))
+    return new
 
 
 def insert_kink(link: FramedLink, arc: int, sign: int, name=None) -> FramedLink:
@@ -210,15 +210,7 @@ def insert_kink(link: FramedLink, arc: int, sign: int, name=None) -> FramedLink:
     The arc splits into arc, arc+1, arc+2 around the new self-crossing;
     higher labels shift by two.
     """
-    new = []
-    for k, t in enumerate(link.crossings):
-        mapped = []
-        for s, a in enumerate(t):
-            if a == arc:
-                mapped.append(arc + 2 if _is_incoming(link, k, s) else arc)
-            else:
-                mapped.append(a if a < arc else a + 2)
-        new.append(tuple(mapped))
+    new = _cut_arc(link, arc, 2)
     if sign > 0:
         new.append((arc, arc + 2, arc + 1, arc + 1))
     else:

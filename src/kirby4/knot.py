@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .diagram import (
     Crossing,
     FramedLink,
-    PDCode,
+    _check_planar,
     _normalize_crossings,
     _pd_components,
     _resolve_over_directions,
@@ -45,24 +45,22 @@ from .matrices import bareiss_det
 class KnotDiagram:
     """A one-component diagram."""
 
-    pd: PDCode
+    crossings: tuple[Crossing, ...]
     over_in: tuple[int, ...]
 
     @classmethod
     def build(cls, crossings) -> "KnotDiagram":
+        """Validate a raw knot code with the checks `FramedLink.build` makes."""
         xs = _normalize_crossings(crossings)
         comps, succ = _pd_components(xs)
+        _check_planar(xs)
         if xs and len(comps) != 1:
             raise NotAKnot(f"diagram has {len(comps)} components")
-        return cls(PDCode(xs, 2 * len(xs)), _resolve_over_directions(xs, succ))
+        return cls(xs, _resolve_over_directions(xs, succ))
 
     @classmethod
     def unknot(cls) -> "KnotDiagram":
-        return cls(PDCode((), 0), ())
-
-    @property
-    def crossings(self) -> tuple[Crossing, ...]:
-        return self.pd.crossings
+        return cls((), ())
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ class _Surgery:
     def __init__(self, link: FramedLink, order):
         self.crossings: list[list[int]] = [list(t) for t in link.crossings]
         self.over_in: list[int] = list(link.over_in)
-        size = link.pd.arc_count + 1  # arcs are 1..2n; entry 0 is unused
+        size = 2 * len(link.crossings) + 1  # arcs are 1..2n; entry 0 is unused
         self.head: list = [None] * size
         self.tail: list = [None] * size
         for k, (t, oi) in enumerate(zip(link.crossings, link.over_in)):
@@ -287,7 +285,7 @@ def band_sum(
     over_in = _resolve_over_directions(xs, _successors([range(1, len(cyc) + 1)], len(cyc)))
     if over_in != tuple(st.over_in):
         raise InternalInvariantViolation("banded diagram signs disagree with construction")
-    return KnotDiagram(PDCode(xs, len(cyc)), over_in)
+    return KnotDiagram(xs, over_in)
 
 
 # --- Alexander polynomial via the Wirtinger presentation and Fox calculus ---

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from kirby4 import cli, knot
+from kirby4 import cli, diagram, knot
 from kirby4.cli import run
 from kirby4.fixtures import corpus, fixture_path, shipped_fixtures, write_corpus
 
@@ -80,6 +80,17 @@ def test_arf_computes_the_polynomial_once(fx, capsys, monkeypatch):
     calls = []
     original = knot.alexander_polynomial
     monkeypatch.setattr(knot, "alexander_polynomial", lambda k: calls.append(k) or original(k))
+    code, out = run_json(capsys, ["arf", fx("chern")])
+    assert code == 0 and out == {"arf": 1, "determinant": 3}
+    assert len(calls) == 1
+
+
+def test_arf_validates_the_code_once(fx, capsys, monkeypatch):
+    calls = []
+    original = diagram._pd_components
+    counting = lambda xs: calls.append(xs) or original(xs)  # noqa: E731
+    monkeypatch.setattr(diagram, "_pd_components", counting)
+    monkeypatch.setattr(knot, "_pd_components", counting)
     code, out = run_json(capsys, ["arf", fx("chern")])
     assert code == 0 and out == {"arf": 1, "determinant": 3}
     assert len(calls) == 1

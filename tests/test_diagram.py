@@ -17,6 +17,7 @@ from kirby4.errors import (
     InvalidPD,
     MalformedInput,
 )
+from kirby4.knot import KnotDiagram
 from kirby4 import fixtures
 from kirby4.fixtures import E8_MATRIX, e8_link
 from conftest import S
@@ -88,7 +89,8 @@ class TestBuild:
 
 
 class TestInputBoundary:
-    """Parsing and `FramedLink.build` validate every code that comes in."""
+    """Parsing, `FramedLink.build` and, for a knot code, `KnotDiagram.build`
+    validate every code that comes in."""
 
     CASES = {
         "label_zero": ([[0, 3, 2, 4], [3, 1, 4, 2]], [0, 0], MalformedInput),
@@ -106,6 +108,9 @@ class TestInputBoundary:
             parse_framed_link(encode(pd, framings))
         with pytest.raises(error):
             FramedLink.build(pd, framings=framings)
+        if len(framings) == 1:
+            with pytest.raises(error):
+                KnotDiagram.build(pd)
 
     def test_boolean_label_rejected_by_parse(self):
         with pytest.raises(MalformedInput):
