@@ -39,7 +39,6 @@ from .forms import (
 )
 from .invariants import ManifoldInvariants, intersection_form, kirby_siebenmann
 from .knot import (
-    IntPolynomial,
     KnotDiagram,
     alexander_at_minus_one,
     alexander_polynomial,
@@ -55,7 +54,6 @@ __all__ = [
     "FormClass",
     "FramedLink",
     "InputError",
-    "IntPolynomial",
     "InternalInvariantViolation",
     "KirbyError",
     "KnotDiagram",

@@ -34,20 +34,6 @@ class Verdict:
     congruence_witness: Optional[IntRows]
     reason: str
 
-    def as_dict(self) -> dict:
-        return {
-            "homeomorphic": self.homeomorphic,
-            "oriented": self.oriented,
-            "reason": self.reason,
-            "left": self.left.as_dict() if self.left else None,
-            "right": self.right.as_dict() if self.right else None,
-            "congruence_witness": (
-                [list(r) for r in self.congruence_witness]
-                if self.congruence_witness is not None
-                else None
-            ),
-        }
-
 
 def homeomorphic_oriented(
     left: FramedLink, right: FramedLink, *, smooth: bool = False

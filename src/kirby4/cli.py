@@ -2,14 +2,17 @@
 
 Subcommands: lkmatrix, classify, form-compare, charvec, arf, ks, homeo.
 Results print as canonical JSON (sorted keys, compact separators, integers
-only); --json wraps them in a run report with input hashes and timing.
+only): a result record prints as its fields; --json wraps it in a run report
+with input hashes and timing.
 Exit codes: 0 for a completed decision (whatever the verdict), 1 for input
-errors, 2 for internal invariant violations or the enumeration cap.
+errors, 2 for internal invariant violations, the enumeration cap, or a
+definite form deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -17,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from .classify import homeomorphic_oriented, homeomorphic_unoriented
+from .classify import Verdict, homeomorphic_oriented, homeomorphic_unoriented
 from .diagram import _is_int, linking_matrix, parse_framed_link
 from .errors import (
     InputError,
@@ -32,8 +35,18 @@ from .knot import KnotDiagram, _arf_from_determinant, alexander_at_minus_one
 from .matrices import SymIntMatrix
 
 
+@functools.cache
+def _record_fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls) if f.compare)
+
+
+def _record(obj) -> dict:
+    """A dataclass record as its compared fields, so `SymIntMatrix.memo` stays out."""
+    return {name: getattr(obj, name) for name in _record_fields(type(obj))}
+
+
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_record)
 
 
 def _read_bytes(path: str) -> bytes:
@@ -66,26 +79,22 @@ def _load_matrix(path: str) -> SymIntMatrix:
 
 
 def _cmd_lkmatrix(args):
-    return linking_matrix(_load_link(args.link)).as_dict()
+    return linking_matrix(_load_link(args.link))
 
 
 def _cmd_classify(args):
-    return classify(_load_matrix(args.matrix)).as_dict()
+    return classify(_load_matrix(args.matrix))
 
 
 def _cmd_form_compare(args):
     ok, witness = congruent_with_witness(
         _load_matrix(args.matrix1), _load_matrix(args.matrix2)
     )
-    return {
-        "congruent": ok,
-        "witness": [list(r) for r in witness] if witness is not None else None,
-    }
+    return {"congruent": ok, "witness": witness}
 
 
 def _cmd_charvec(args):
-    c = characteristic_vector(_load_matrix(args.matrix))
-    return {"characteristic": list(c)}
+    return {"characteristic": characteristic_vector(_load_matrix(args.matrix))}
 
 
 def _cmd_arf(args):
@@ -98,16 +107,14 @@ def _cmd_arf(args):
 
 
 def _cmd_ks(args):
-    return kirby_siebenmann(_load_link(args.link)).as_dict()
+    return kirby_siebenmann(_load_link(args.link))
 
 
-def _decide(path1: str, path2: str, unoriented: bool, smooth: bool) -> dict:
+def _decide(path1: str, path2: str, unoriented: bool, smooth: bool) -> Verdict:
     left, right = _load_link(path1), _load_link(path2)
     if unoriented:
-        verdict = homeomorphic_unoriented(left, right, smooth=smooth)
-    else:
-        verdict = homeomorphic_oriented(left, right, smooth=smooth)
-    return verdict.as_dict()
+        return homeomorphic_unoriented(left, right, smooth=smooth)
+    return homeomorphic_oriented(left, right, smooth=smooth)
 
 
 def _cmd_homeo(args):
@@ -135,15 +142,6 @@ def _cmd_homeo(args):
     return _decide(args.link1, args.link2, args.unoriented, args.smooth)
 
 
-def _input_files(args) -> list[str]:
-    files = []
-    for attr in ("link", "matrix", "matrix1", "matrix2", "link1", "link2", "batch"):
-        value = getattr(args, attr, None)
-        if value:
-            files.append(value)
-    return files
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args keeps no state on the parser, it
@@ -158,41 +156,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lkmatrix", help="linking matrix of a framed link")
-    p.add_argument("link")
-    p.set_defaults(fn=_cmd_lkmatrix)
+    def command(name, fn, help, *positionals, nargs=None, files=None):
+        # `files` names the input-file arguments the --json report hashes, in
+        # order; by default they are the positionals.
+        p = sub.add_parser(name, help=help)
+        for arg in positionals:
+            p.add_argument(arg, nargs=nargs)
+        p.set_defaults(fn=fn, files=positionals if files is None else files)
+        return p
 
-    p = sub.add_parser("classify", help="rank/signature/parity/definiteness of a form")
-    p.add_argument("matrix")
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("form-compare", help="decide integral congruence of two forms")
-    p.add_argument("matrix1")
-    p.add_argument("matrix2")
-    p.set_defaults(fn=_cmd_form_compare)
-
-    p = sub.add_parser("charvec", help="0/1 characteristic vector of a form")
-    p.add_argument("matrix")
-    p.set_defaults(fn=_cmd_charvec)
-
-    p = sub.add_parser("arf", help="Arf invariant and determinant of a knot diagram")
-    p.add_argument("link")
-    p.set_defaults(fn=_cmd_arf)
-
-    p = sub.add_parser("ks", help="all invariants of the presented 4-manifold")
-    p.add_argument("link")
-    p.set_defaults(fn=_cmd_ks)
-
-    p = sub.add_parser("homeo", help="decide homeomorphism of two presented manifolds")
-    p.add_argument("link1", nargs="?")
-    p.add_argument("link2", nargs="?")
+    command("lkmatrix", _cmd_lkmatrix, "linking matrix of a framed link", "link")
+    command("classify", _cmd_classify, "rank/signature/parity/definiteness of a form", "matrix")
+    command("form-compare", _cmd_form_compare, "decide integral congruence of two forms",
+            "matrix1", "matrix2")
+    command("charvec", _cmd_charvec, "0/1 characteristic vector of a form", "matrix")
+    command("arf", _cmd_arf, "Arf invariant and determinant of a knot diagram", "link")
+    command("ks", _cmd_ks, "all invariants of the presented 4-manifold", "link")
+    p = command("homeo", _cmd_homeo, "decide homeomorphism of two presented manifolds",
+                "link1", "link2", nargs="?", files=("link1", "link2", "batch"))
     p.add_argument("--unoriented", action="store_true",
                    help="also try the orientation-reversed second manifold")
     p.add_argument("--smooth", action="store_true",
                    help="assert both manifolds smooth: skip ks, classify definite forms")
     p.add_argument("--batch", metavar="PAIRS_TSV",
                    help="file of tab-separated link-file pairs, one per line")
-    p.set_defaults(fn=_cmd_homeo)
     return parser
 
 
@@ -208,14 +195,12 @@ def run(argv) -> int:
         result = args.fn(args)
         duration_ms = int((time.perf_counter() - start) * 1000)
         if args.json:
+            files = [getattr(args, a) for a in args.files if getattr(args, a)]
             result = {
                 "command": args.command,
                 "inputs": [
-                    {
-                        "file": f,
-                        "sha256": hashlib.sha256(_read_bytes(f)).hexdigest(),
-                    }
-                    for f in _input_files(args)
+                    {"file": f, "sha256": hashlib.sha256(_read_bytes(f)).hexdigest()}
+                    for f in files
                 ],
                 "result": result,
                 "duration_ms": duration_ms,

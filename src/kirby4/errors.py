@@ -59,4 +59,5 @@ class InternalInvariantViolation(KirbyError):
 
 
 class ResourceLimitExceeded(KirbyError):
-    """KIRBY4_MAX_ENUM cap hit during definite-form enumeration."""
+    """KIRBY4_MAX_ENUM cap hit comparing definite forms, or a definite form
+    whose rank passes Python's recursion limit (about 1,000)."""

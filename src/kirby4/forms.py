@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import dataclass
 from operator import mul, neg
 from typing import Optional
 
@@ -55,9 +56,6 @@ class FormClass:
     signature: int
     parity: str
     definiteness: str
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _require_unimodular(v: SymIntMatrix) -> None:
@@ -358,10 +356,18 @@ def short_vectors(v: SymIntMatrix, r: int) -> list[tuple[int, ...]]:
                         f"enumeration candidates exceed KIRBY4_MAX_ENUM={cap}")
         x[j] = 0
 
-    descend(n - 1, top, True)
+    try:
+        descend(n - 1, top, True)
+    except RecursionError as exc:  # descend recurses once per rank
+        raise _too_deep(n) from exc
     reps.sort()
     v.memo[_NORMS, r] = [q for _, q in reps]
     return [y for t, _ in reps for y in (t, tuple(map(neg, t)))]
+
+
+def _too_deep(n: int) -> ResourceLimitExceeded:
+    return ResourceLimitExceeded(
+        f"rank {n} passes Python's recursion limit ({sys.getrecursionlimit()})")
 
 
 def _canonical(t: tuple[int, ...]) -> bool:
@@ -429,7 +435,11 @@ def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
             cols.pop()
         return False
 
-    if not place(0, [0] * n):
+    try:
+        found = place(0, [0] * n)
+    except RecursionError as exc:  # place recurses once per rank
+        raise _too_deep(n) from exc
+    if not found:
         return None
     a2 = [[cands[idx][row] for idx in cols] for row in range(n)]
     a = mat_mul(mat_mul(u_v, a2), u_w_inv)

@@ -32,16 +32,6 @@ class ManifoldInvariants:
     arf: int
     knot_determinant: int
 
-    def as_dict(self) -> dict:
-        return {
-            "form": self.form.as_dict(),
-            "ks": self.ks,
-            "signature": self.signature,
-            "characteristic": list(self.characteristic),
-            "arf": self.arf,
-            "knot_determinant": self.knot_determinant,
-        }
-
 
 def intersection_form(link: FramedLink) -> SymIntMatrix:
     """The linking matrix, rejected unless it is unimodular."""

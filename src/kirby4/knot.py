@@ -63,23 +63,6 @@ class KnotDiagram:
         return cls((), ())
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Laurent polynomial in t with integer coefficients; no zero terms stored."""
-
-    coeffs: tuple[tuple[int, int], ...]  # sorted (exponent, coefficient) pairs
-
-    @classmethod
-    def from_map(cls, d: dict[int, int]) -> "IntPolynomial":
-        return cls(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
-
-    def as_map(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
-    def at_minus_one(self) -> int:
-        return sum(-c if e % 2 else c for e, c in self.coeffs)
-
-
 def characteristic_sublink(link: FramedLink, c: Sequence[int]) -> FramedLink:
     """The sub-diagram of the components marked 1 in the 0/1 vector c.
 
@@ -291,10 +274,11 @@ def band_sum(
 # --- Alexander polynomial via the Wirtinger presentation and Fox calculus ---
 
 
-def alexander_polynomial(k: KnotDiagram) -> IntPolynomial:
+def alexander_polynomial(k: KnotDiagram) -> dict[int, int]:
     """Alexander polynomial from Fox derivatives of the Wirtinger presentation.
 
-    Well-defined up to units +-t^k; the crossingless unknot gives 1.  Row i
+    Returned as {exponent: coefficient} with no zero terms, and well-defined
+    up to units +-t^k; the crossingless unknot gives {0: 1}.  Row i
     of the matrix is crossing i: t, 1 - t, -1 at its incoming under, over and
     outgoing under generators if it is positive, t^-1, 1 - t^-1, -1 if not.
     Delta is the minor without the last row and column.
@@ -312,7 +296,7 @@ def alexander_polynomial(k: KnotDiagram) -> IntPolynomial:
     """
     n = len(k.crossings)
     if n == 0:
-        return IntPolynomial.from_map({0: 1})
+        return {0: 1}
     parent = list(range(2 * n + 1))
 
     def find(a):
@@ -347,11 +331,13 @@ def alexander_polynomial(k: KnotDiagram) -> IntPolynomial:
     p = bareiss_det(minor)
     coeffs = {}
     for e in range(-shift, n - shift):
-        coeffs[e] = digit = ((p + (x >> 1)) & (x - 1)) - (x >> 1)
+        digit = ((p + (x >> 1)) & (x - 1)) - (x >> 1)
+        if digit:
+            coeffs[e] = digit
         p = (p - digit) >> bits
     if p:
         raise InternalInvariantViolation("Alexander coefficient exceeds its Hadamard bound")
-    return IntPolynomial.from_map(coeffs)
+    return coeffs
 
 
 def _arf_from_determinant(d: int) -> int:
@@ -366,7 +352,7 @@ def _arf_from_determinant(d: int) -> int:
 
 def alexander_at_minus_one(k: KnotDiagram) -> int:
     """The knot determinant |Delta(-1)|; always an odd positive integer."""
-    value = abs(alexander_polynomial(k).at_minus_one())
+    value = abs(sum(-c if e % 2 else c for e, c in alexander_polynomial(k).items()))
     if value % 2 == 0:
         raise InternalInvariantViolation(f"even knot determinant {value}")
     return value

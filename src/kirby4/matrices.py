@@ -76,9 +76,6 @@ class SymIntMatrix:
     def is_unimodular(self) -> bool:
         return self.det in (1, -1)
 
-    def as_dict(self) -> dict:
-        return {"n": self.n, "entries": [list(r) for r in self.entries]}
-
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]

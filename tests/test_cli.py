@@ -3,12 +3,13 @@
 import argparse
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from kirby4 import cli, diagram, knot
 from kirby4.cli import run
-from kirby4.fixtures import corpus, fixture_path, shipped_fixtures, write_corpus
+from kirby4.fixtures import E8_MATRIX, corpus, fixture_path, shipped_fixtures, write_corpus
 
 
 def canonical(obj):
@@ -184,6 +185,56 @@ def test_default_output_round_trips(fx, capsys):
         assert code == 0
         raw = capsys.readouterr().out.strip()
         assert canonical(json.loads(raw)) == raw
+
+
+FORM = {"entries", "n"}
+INVARIANTS = {"arf", "characteristic", "form", "knot_determinant", "ks", "signature"}
+VERDICT = {"congruence_witness", "homeomorphic", "left", "oriented", "reason", "right"}
+
+
+def assert_verdict_keys(verdict, smooth=False):
+    assert set(verdict) == VERDICT
+    for side in (verdict["left"], verdict["right"]):
+        if smooth:
+            assert side is None
+        else:
+            assert set(side) == INVARIANTS and set(side["form"]) == FORM
+
+
+def test_exact_output_keys(fx, capsys, tmp_path):
+    # A field added to a result record changes the CLI format; this pins it.
+    matrix = str(tmp_path / "e8_form.json")
+    Path(matrix).write_text(json.dumps({"entries": E8_MATRIX.rows()}))
+    for argv, keys in (
+        (["lkmatrix", fx("e8")], FORM),
+        (["classify", matrix], {"definiteness", "parity", "rank", "signature"}),
+        (["charvec", matrix], {"characteristic"}),
+        (["form-compare", matrix, matrix], {"congruent", "witness"}),
+        (["arf", fx("chern")], {"arf", "determinant"}),
+        (["ks", fx("e8")], INVARIANTS),
+    ):
+        code, out = run_json(capsys, argv)
+        assert code == 0 and set(out) == keys, argv
+    assert set(out["form"]) == FORM
+
+    for flags in ([], ["--unoriented"], ["--smooth"]):
+        code, out = run_json(capsys, ["homeo", *flags, fx("e8"), fx("e8")])
+        assert code == 0
+        assert_verdict_keys(out, smooth=flags == ["--smooth"])
+
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(f"{fx('cp2')}\t{fx('chern')}\n")
+    code, out = run_json(capsys, ["homeo", "--batch", str(pairs)])
+    assert code == 0 and set(out) == {"results"}
+    [result] = out["results"]
+    assert set(result) == {"files", "verdict"}
+    assert_verdict_keys(result["verdict"])
+
+    code, out = run_json(capsys, ["--json", "homeo", fx("cp2"), fx("chern")])
+    assert code == 0
+    assert set(out) == {"command", "duration_ms", "inputs", "result"}
+    assert [set(i) for i in out["inputs"]] == [{"file", "sha256"}] * 2
+    assert_verdict_keys(out["result"])
 
 
 def test_every_valid_fixture_runs_ks(capsys):

@@ -1,7 +1,12 @@
 """Form algebra: diagonalization, classification, congruence."""
 
+import inspect
+import json
+import sys
+
 import pytest
 
+from kirby4 import forms
 from kirby4.errors import (
     NotIndefinite,
     NotPositiveDefinite,
@@ -489,7 +494,6 @@ class TestGoldenWitnesses:
 
     @pytest.mark.parametrize("name", list(GOLDEN_BASES))
     def test_witnesses_unchanged(self, name):
-        import json
         from pathlib import Path
 
         golden = json.loads((Path(__file__).parent / "golden_witnesses.json").read_text())
@@ -538,8 +542,6 @@ class TestSearchBudget:
         assert "search" in outcomes[1]
 
     def test_search_cap_exits_2(self, monkeypatch, tmp_path, capsys):
-        import json
-
         from kirby4.cli import run
 
         e8e8, d16 = e8_e8_and_d16_plus()
@@ -550,6 +552,55 @@ class TestSearchBudget:
         monkeypatch.setenv("KIRBY4_MAX_ENUM", "1000")
         assert run(["form-compare", *paths]) == 2
         assert "search placements exceed KIRBY4_MAX_ENUM=1000" in capsys.readouterr().err
+
+
+def limit_recursion(frames):
+    """Set Python's recursion limit `frames` above the caller's depth."""
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+
+
+class TestRecursionLimit:
+    """`descend` and `place` recurse once per rank: past Python's recursion
+    limit the comparison stops as a resource limit (exit 2), not with a
+    RecursionError the CLI does not map."""
+
+    RANK = 120
+
+    @pytest.fixture(autouse=True)
+    def restore_limit(self):
+        old = sys.getrecursionlimit()
+        yield
+        sys.setrecursionlimit(old)
+
+    def test_enumeration_too_deep(self):
+        limit_recursion(self.RANK // 2)
+        with pytest.raises(ResourceLimitExceeded, match="recursion limit"):
+            congruent_with_witness(I(self.RANK), I(self.RANK))
+
+    def test_search_too_deep(self, monkeypatch):
+        # The enumerations run under the normal limit; the search does not.
+        enumerated = []
+
+        def then_limit(v, r):
+            out = short_vectors(v, r)
+            enumerated.append(v)
+            if len(enumerated) == 2:
+                limit_recursion(self.RANK // 4)
+            return out
+
+        monkeypatch.setattr(forms, "short_vectors", then_limit)
+        with pytest.raises(ResourceLimitExceeded, match="recursion limit"):
+            congruent_with_witness(I(self.RANK), I(self.RANK))
+        assert len(enumerated) == 2
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        from kirby4.cli import run
+
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps({"entries": I(self.RANK).rows()}))
+        limit_recursion(self.RANK // 2)
+        assert run(["form-compare", str(path), str(path)]) == 2
+        assert "recursion limit" in capsys.readouterr().err
 
 
 class TestCongruent:
