@@ -68,8 +68,8 @@ def _load_matrix(path: str) -> SymIntMatrix:
     if not isinstance(data, dict) or "entries" not in data:
         raise MalformedInput(f'{path}: expected an object with "entries"')
     entries = data["entries"]
-    if not isinstance(entries, list) or not all(
-        isinstance(r, list) and all(_is_int(x) for x in r) for r in entries
+    if not isinstance(entries, list) or not all(  # type() also rules out true and false
+        isinstance(r, list) and set(map(type, r)) <= {int} for r in entries
     ):
         raise MalformedInput(f'{path}: "entries" must be a grid of integers')
     m = SymIntMatrix.from_rows(entries)
@@ -196,6 +196,8 @@ def run(argv) -> int:
         duration_ms = int((time.perf_counter() - start) * 1000)
         if args.json:
             files = [getattr(args, a) for a in args.files if getattr(args, a)]
+            if args.command == "homeo" and args.batch:  # then each link file it names
+                files += dict.fromkeys(f for r in result["results"] for f in r["files"])
             result = {
                 "command": args.command,
                 "inputs": [

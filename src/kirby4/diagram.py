@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import index
 from typing import Optional
 
@@ -65,7 +66,7 @@ class FramedLink:
         """Validate a code whose labels are known to be positive integers."""
         if unknots < 0:
             raise MalformedInput("unknot count must be non-negative")
-        comps, _ = _pd_components(xs)
+        comps = _pd_components(xs)
         _check_planar(xs)
         return cls._derived(xs, comps, unknots, framings, name)
 
@@ -75,8 +76,8 @@ class FramedLink:
         """Assemble a link from a planar code whose PD components are `comps`.
 
         Only the orientation is derived here, from the label successors of
-        `comps`, which rechecks every over-strand's succession and that each
-        arc has one incoming end.
+        `comps`, which checks every strand's succession and that each arc
+        has one incoming end.
         """
         over_in = _resolve_over_directions(xs, _successors(comps, 2 * len(xs)))
         total = len(comps) + unknots
@@ -125,15 +126,23 @@ def _normalize_crossings(crossings) -> tuple[Crossing, ...]:
     return tuple(xs)
 
 
-def _pd_components(xs: tuple[Crossing, ...]):
-    """Partition arcs into components and build the label successor map.
+def _root(parent: list[int], a: int) -> int:
+    """The union-find root of `a`, halving the path on the way."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
 
-    Arcs must be exactly 1..2n, each appearing twice; a component's labels
-    must form one consecutive block, and the under-strand at every crossing
-    must run from slot 0 to slot 2 in label succession.
+
+def _pd_components(xs: tuple[Crossing, ...]) -> list[tuple[int, ...]]:
+    """Partition arcs into components, each in label order.
+
+    Arcs must be exactly 1..2n, each appearing twice, and a component's
+    labels must form one consecutive block.  `_resolve_over_directions`
+    checks each strand's label succession.
     """
     if not xs:
-        return [], []
+        return []
     counts: dict[int, int] = {}
     for t in xs:
         for a in t:
@@ -145,31 +154,20 @@ def _pd_components(xs: tuple[Crossing, ...]):
 
     # Strand continuity: the two arcs of a passage belong to one component.
     parent = list(range(n_arcs + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for a, b, c, d in xs:
-        parent[find(a)] = find(c)
-        parent[find(b)] = find(d)
+        parent[_root(parent, a)] = _root(parent, c)
+        parent[_root(parent, b)] = _root(parent, d)
 
     # Arcs are visited in increasing order, so each group is sorted and the
     # groups come out ordered by their smallest arc.
     groups: dict[int, list[int]] = {}
     for a in range(1, n_arcs + 1):
-        groups.setdefault(find(a), []).append(a)
+        groups.setdefault(_root(parent, a), []).append(a)
     comps = list(groups.values())
     for comp in comps:
         if comp[-1] - comp[0] + 1 != len(comp):
             raise InvalidPD(f"component arcs {comp} are not a consecutive block")
-    succ = _successors(comps, n_arcs)
-    for a, b, c, d in xs:
-        if succ[a] != c:
-            raise InvalidPD(f"under-strand {a}->{c} breaks label succession")
-    return [tuple(c) for c in comps], succ
+    return [tuple(c) for c in comps]
 
 
 def _successors(comps, n_arcs: int) -> list[int]:
@@ -192,20 +190,22 @@ def _check_planar(xs: tuple[Crossing, ...]) -> None:
     the corners of one face.  By Euler's formula a connected piece with v
     crossings and 2v arcs lies in the plane exactly when it has v + 2 faces,
     and no piece has more, so the code is planar iff F = n + 2 * pieces.
-    The arc labels must already be known to be 1..2n, each used twice.
+    The loop that pairs the two corners of each arc also joins their
+    crossings, so the pieces are the union-find roots left.  The arc labels
+    must already be known to be 1..2n, each used twice.
     """
     n = len(xs)
     first, mate = [-1] * (2 * n + 1), [0] * (4 * n)
-    corner = 0
-    for t in xs:
-        for arc in t:
-            other = first[arc]
-            if other < 0:
-                first[arc] = corner
-            else:
-                mate[corner], mate[other] = other, corner
-            corner += 1
-    faces = pieces = 0
+    parent = list(range(n))  # crossings joined by an arc
+    for corner, arc in enumerate(chain.from_iterable(xs)):
+        other = first[arc]
+        if other < 0:
+            first[arc] = corner
+        else:
+            mate[corner], mate[other] = other, corner
+            parent[_root(parent, corner // 4)] = _root(parent, other // 4)
+    pieces = sum(parent[k] == k for k in range(n))
+    faces = 0
     unseen = [True] * (4 * n)
     for start in range(4 * n):
         faces += unseen[start]
@@ -214,19 +214,6 @@ def _check_planar(xs: tuple[Crossing, ...]) -> None:
             unseen[corner] = False
             end = mate[corner]
             corner = end + 1 if end % 4 != 3 else end - 3
-    reached = [False] * n
-    for k in range(n):
-        if reached[k]:
-            continue
-        pieces += 1
-        reached[k] = True
-        stack = [k]
-        while stack:
-            j = stack.pop()
-            for other in mate[4 * j:4 * j + 4]:
-                if not reached[other // 4]:
-                    reached[other // 4] = True
-                    stack.append(other // 4)
     if faces != n + 2 * pieces:
         raise InvalidPD(f"not a planar diagram: {faces} faces, {n} crossings, {pieces} pieces")
 
@@ -234,16 +221,20 @@ def _check_planar(xs: tuple[Crossing, ...]) -> None:
 def _resolve_over_directions(xs: tuple[Crossing, ...], succ) -> tuple[int, ...]:
     """Decide, per crossing, whether the over-strand enters at slot 1 or 3.
 
-    Label succession settles a crossing when exactly one of b -> d, d -> b
-    follows it.  When both do, the strand lies on a one- or two-arc
-    component; walking these crossings in order, it enters by the arc with
-    no incoming end yet, or at slot 3 if neither has one (a component that
-    never passes under is unoriented by the code, and the choice cannot
-    affect any linking number).  Each arc must get exactly one incoming end.
+    Every strand must follow the label successors `succ`: the under-strand
+    runs a -> c, and label succession settles a crossing when exactly one
+    of b -> d, d -> b follows it.  When both do, the strand lies on a one-
+    or two-arc component; walking these crossings in order, it enters by
+    the arc with no incoming end yet, or at slot 3 if neither has one (a
+    component that never passes under is unoriented by the code, and the
+    choice cannot affect any linking number).  Each arc must get exactly
+    one incoming end.
     """
     heads = [0] * (2 * len(xs) + 1)  # incoming ends seen per arc
     over_in = [0] * len(xs)  # 0 until settled
     for k, (a, b, c, d) in enumerate(xs):
+        if succ[a] != c:
+            raise InvalidPD(f"under-strand {a}->{c} breaks label succession")
         heads[a] += 1
         fwd_b, fwd_d = succ[b] == d, succ[d] == b
         if not (fwd_b or fwd_d):

@@ -13,7 +13,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .diagram import Crossing, FramedLink
+from .diagram import Crossing, FramedLink, _root
 from .errors import MalformedInput
 from .matrices import SymIntMatrix
 
@@ -80,19 +80,8 @@ def clasp_link(v: SymIntMatrix, name=None) -> FramedLink:
                 edges.append((i, j, 1 if w > 0 else -1))
     # forest check on the simple support graph
     parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    seen_pairs = set()
-    for i, j, _ in edges:
-        if (i, j) in seen_pairs:
-            continue
-        seen_pairs.add((i, j))
-        ri, rj = find(i), find(j)
+    for i, j in dict.fromkeys((i, j) for i, j, _ in edges):
+        ri, rj = _root(parent, i), _root(parent, j)
         if ri == rj:
             raise MalformedInput("clasp layout needs an acyclic linking pattern")
         parent[max(ri, rj)] = min(ri, rj)

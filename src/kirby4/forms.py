@@ -237,15 +237,15 @@ def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIn
     basis vectors and lam[k][j] = d[j+1] * mu_kj, so every quantity is an
     integer.  It starts from the pivot rows `classify` left in V's memo: a
     definite form needs no pivot repair, so a_jj = d[j+1] and a_jk =
-    lam[k][j], and swaps keep every lam current.  Returns (U, U^-1, U^T V U)
-    with U unimodular; the columns of U are the reduced basis.  The reduced
-    form takes V's class, and its pivot rows from the final d and lam.
+    lam[k][j], and swaps keep every lam current, so d and lam decide every
+    step.  Returns (U, U^-1, U^T V U) with U unimodular; the columns of U
+    are the reduced basis.  The reduced form is computed once, as U^T V U;
+    it takes V's class, and its pivot rows from the final d and lam.
     """
     fc = classify(v)
     if fc.definiteness != POSITIVE:
         raise NotPositiveDefinite("LLL reduction needs a positive definite form")
     n = v.n
-    g = v.rows()  # Gram matrix of the current basis
     basis = identity(n)  # basis[k] is column k of U
     inv = identity(n)  # rows of U^-1
     rows, _ = v.memo[_FACTOR]
@@ -256,13 +256,6 @@ def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIn
         if 2 * abs(lam[k][l]) <= d[l + 1]:
             return
         q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-        gk, gl = g[k], g[l]
-        kk = gk[k] - 2 * q * gk[l] + q * q * gl[l]
-        for i in range(n):
-            gk[i] -= q * gl[i]
-        gk[k] = kk
-        for i in range(n):
-            g[i][k] = gk[i]
         basis[k] = [x - q * y for x, y in zip(basis[k], basis[l])]
         inv[l] = [x + q * y for x, y in zip(inv[l], inv[k])]
         lam[k][l] -= q * d[l + 1]
@@ -272,9 +265,6 @@ def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIn
     def swap(k):
         basis[k - 1], basis[k] = basis[k], basis[k - 1]
         inv[k - 1], inv[k] = inv[k], inv[k - 1]
-        g[k - 1], g[k] = g[k], g[k - 1]
-        for row in g:
-            row[k - 1], row[k] = row[k], row[k - 1]
         for j in range(k - 1):
             lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
         lm = lam[k][k - 1]
@@ -295,11 +285,12 @@ def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIn
             for l in range(k - 2, -1, -1):
                 red(k, l)
             k += 1
-    reduced = SymIntMatrix.from_rows(g)
+    u = transpose(basis)
+    reduced = SymIntMatrix.from_rows(congruence(u, v.entries))
     reduced.memo[FormClass] = fc
     reduced.memo[_FACTOR] = ([[d[j + 1]] + [lam[k][j] for k in range(j + 1, n)] for j in range(n)],
                              [d[j] * d[j + 1] for j in range(n)])
-    return transpose(basis), inv, reduced
+    return u, inv, reduced
 
 
 def short_vectors(v: SymIntMatrix, r: int) -> list[tuple[int, ...]]:

@@ -30,6 +30,7 @@ from .diagram import (
     _normalize_crossings,
     _pd_components,
     _resolve_over_directions,
+    _root,
     _successors,
 )
 from .errors import (
@@ -50,13 +51,14 @@ class KnotDiagram:
 
     @classmethod
     def build(cls, crossings) -> "KnotDiagram":
-        """Validate a raw knot code with the checks `FramedLink.build` makes."""
+        """Validate a raw knot code as `FramedLink.build` does; a valid link raises NotAKnot."""
         xs = _normalize_crossings(crossings)
-        comps, succ = _pd_components(xs)
+        comps = _pd_components(xs)
         _check_planar(xs)
+        over_in = _resolve_over_directions(xs, _successors(comps, 2 * len(xs)))
         if xs and len(comps) != 1:
             raise NotAKnot(f"diagram has {len(comps)} components")
-        return cls(xs, _resolve_over_directions(xs, succ))
+        return cls(xs, over_in)
 
     @classmethod
     def unknot(cls) -> "KnotDiagram":
@@ -298,18 +300,11 @@ def alexander_polynomial(k: KnotDiagram) -> dict[int, int]:
     if n == 0:
         return {0: 1}
     parent = list(range(2 * n + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for t in k.crossings:
-        ra, rb = find(t[1]), find(t[3])
+        ra, rb = _root(parent, t[1]), _root(parent, t[3])
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    gens = sorted({find(a) for a in range(1, 2 * n + 1)})
+    gens = sorted({_root(parent, a) for a in range(1, 2 * n + 1)})
     col = {g: i for i, g in enumerate(gens)}
     if len(gens) != n:
         raise InternalInvariantViolation(
@@ -326,7 +321,7 @@ def alexander_polynomial(k: KnotDiagram) -> dict[int, int]:
             shift += 1
         row = [0] * n
         for arc, value in terms:
-            row[col[find(arc)]] += value
+            row[col[_root(parent, arc)]] += value
         minor.append(row[: n - 1])
     p = bareiss_det(minor)
     coeffs = {}

@@ -88,8 +88,14 @@ def transpose(rows) -> list[list[int]]:
 def mat_mul(a, b) -> list[list[int]]:
     if a and b and len(a[0]) != len(b):
         raise DimensionMismatch("matrix product shape mismatch")
-    bt = transpose(b)
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+    out = []
+    for row in a:
+        acc = [0] * len(b[0]) if b else []
+        for x, brow in zip(row, b):
+            if x:  # a row of the product sums rows of b, so zeros of a cost nothing
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def mat_vec(a, v) -> list[int]:

@@ -213,6 +213,30 @@ def pd_face_count(crossings) -> int:
     return faces
 
 
+def pd_piece_count(crossings) -> int:
+    """Connected pieces of a PD code's diagram: crossings that share an arc
+    label lie in one piece, found by a plain graph search over the tuples."""
+    at: dict[int, list[int]] = {}
+    for k, t in enumerate(crossings):
+        for a in t:
+            at.setdefault(a, []).append(k)
+    seen: set[int] = set()
+    pieces = 0
+    for start in range(len(crossings)):
+        if start in seen:
+            continue
+        pieces += 1
+        todo = [start]
+        seen.add(start)
+        while todo:
+            for a in crossings[todo.pop()]:
+                for k in at[a]:
+                    if k not in seen:
+                        seen.add(k)
+                        todo.append(k)
+    return pieces
+
+
 def box_short_vectors(v: SymIntMatrix, r: int):
     """All nonzero x with x^T V x <= r for positive definite V, in canonical
     order (first nonzero entry positive, sorted, each followed by -x), found

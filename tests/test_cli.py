@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, canonical JSON, fixture corpus."""
 
 import argparse
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -179,6 +180,16 @@ def test_json_report_round_trips(fx, capsys):
     assert isinstance(parsed["duration_ms"], int)
 
 
+def test_batch_json_report_lists_every_link_file(fx, capsys, tmp_path):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(f"{fx('cp2')}\t{fx('chern')}\n{fx('cp2')}\t{fx('cp2_bar')}\n")
+    code, out = run_json(capsys, ["--json", "homeo", "--batch", str(pairs)])
+    assert code == 0
+    assert [i["file"] for i in out["inputs"]] == [str(pairs), fx("cp2"), fx("chern"), fx("cp2_bar")]
+    for i in out["inputs"]:
+        assert i["sha256"] == hashlib.sha256(Path(i["file"]).read_bytes()).hexdigest()
+
+
 def test_default_output_round_trips(fx, capsys):
     for argv in (["lkmatrix", fx("e8")], ["ks", fx("chern")]):
         code = run(argv)
@@ -276,6 +287,13 @@ def test_boolean_matrix_size_is_input_error(capsys, tmp_path):
     path.write_text('{"n": true, "entries": [[1]]}')
     assert run(["classify", str(path)]) == 1
     assert '"n"' in capsys.readouterr().err
+
+
+def test_boolean_matrix_entry_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"entries": [[true]]}')
+    assert run(["classify", str(path)]) == 1
+    assert '"entries" must be a grid of integers' in capsys.readouterr().err
 
 
 def test_enum_cap_exits_2(fx, capsys, monkeypatch, tmp_path):

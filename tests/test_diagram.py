@@ -1,6 +1,7 @@
 """Diagram layer: parsing, signs, linking matrices, mirrors."""
 
 import json
+import random
 
 import pytest
 
@@ -14,13 +15,15 @@ from kirby4.diagram import (
 from kirby4.errors import (
     FramingCountMismatch,
     IndexOutOfRange,
+    InputError,
     InvalidPD,
     MalformedInput,
+    NotAKnot,
 )
 from kirby4.knot import KnotDiagram
 from kirby4 import fixtures
 from kirby4.fixtures import E8_MATRIX, e8_link
-from conftest import S
+from conftest import S, pd_face_count, pd_piece_count
 
 HOPF = [[1, 3, 2, 4], [3, 1, 4, 2]]
 
@@ -99,6 +102,10 @@ class TestInputBoundary:
         "float_label": ([[1.0, 3, 2, 4], [3, 1, 4, 2]], [0, 0], MalformedInput),
         "non_planar": ([[4, 3, 1, 2], [1, 3, 2, 4]], [1], InvalidPD),
         "broken_under_strand": ([[1, 2, 4, 3], [4, 1, 3, 2]], [0, 0], InvalidPD),
+        # A planar Hopf link beside a virtual piece: 6 faces, 4 crossings and
+        # 2 pieces, so a validator that counted one piece would accept it.
+        "planar_beside_virtual": (
+            [[1, 3, 2, 4], [3, 1, 4, 2], [8, 7, 5, 6], [5, 7, 6, 8]], [0, 0, 1], InvalidPD),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -111,6 +118,49 @@ class TestInputBoundary:
         if len(framings) == 1:
             with pytest.raises(error):
                 KnotDiagram.build(pd)
+
+    @staticmethod
+    def outcome(make):
+        try:
+            return make()
+        except InputError as exc:
+            return type(exc)
+
+    def test_mutated_fixture_codes(self):
+        """Seeded mutations of fixture codes: parsing and `FramedLink.build`
+        agree on every one, every accepted code is planar by an independent
+        face and piece count, and `KnotDiagram.build` raises NotAKnot only
+        for a valid link."""
+        rng = random.Random(18)
+        codes = [(list(link.crossings), len(link.framings)) for link in fixtures.corpus().values()
+                 if link.crossings and not link.unknots]
+        accepted = 0
+        for _ in range(2000):
+            code, m = rng.choice(codes)
+            xs = [list(t) for t in code]
+            for _ in range(rng.randint(1, 2)):
+                k, kind = rng.randrange(len(xs)), rng.randrange(4)
+                if kind == 0:  # swap two labels everywhere
+                    x, y = rng.sample(range(1, 2 * len(code) + 1), 2)
+                    xs = [[y if a == x else x if a == y else a for a in t] for t in xs]
+                elif kind == 1:  # rotate one tuple
+                    r = rng.randint(1, 3)
+                    xs[k] = xs[k][r:] + xs[k][:r]
+                elif kind == 2:  # swap two slots of one tuple
+                    i, j = rng.sample(range(4), 2)
+                    xs[k][i], xs[k][j] = xs[k][j], xs[k][i]
+                elif len(xs) > 1:  # drop one crossing
+                    del xs[k]
+            parsed = self.outcome(lambda: parse_framed_link(encode(xs, [0] * m)))
+            assert parsed == self.outcome(lambda: FramedLink.build(xs, framings=[0] * m)), xs
+            knot = self.outcome(lambda: KnotDiagram.build(xs))
+            assert (knot is InvalidPD) == (parsed is InvalidPD), xs
+            if isinstance(parsed, FramedLink):
+                accepted += 1
+                assert pd_face_count(xs) == len(xs) + 2 * pd_piece_count(xs), xs
+                one = parsed.component_count() == 1
+                assert knot == (KnotDiagram(parsed.crossings, parsed.over_in) if one else NotAKnot)
+        assert accepted > 100
 
     def test_boolean_label_rejected_by_parse(self):
         with pytest.raises(MalformedInput):
