@@ -389,6 +389,8 @@ def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
     n = v.n
     if n == 0:
         return ()
+    if n >= sys.getrecursionlimit():  # `descend` and `place` recurse once per rank
+        raise _too_deep(n)
     u_v, _, v2 = lll_reduce(v)
     _, u_w_inv, w2 = lll_reduce(w)
     r = max(w2.diagonal())

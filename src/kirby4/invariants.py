@@ -6,8 +6,10 @@ matrix in the handle basis, and its Kirby-Siebenmann invariant is
 
     ks = Arf(K_c) + (c^T V c - signature(V)) / 8   mod 2,
 
-where c is a 0/1 characteristic vector of V and K_c is any band sum of the
-sublink of components marked by c.
+where c is a 0/1 characteristic vector of V and K_c is any knot fused from
+the sublink L_c of components marked by c.  L_c is a proper link, so by
+Robertello's theorem every such knot, here the one `band_sum` makes by
+oriented smoothings, has the same Arf invariant.
 """
 
 from __future__ import annotations

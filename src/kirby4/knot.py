@@ -1,17 +1,11 @@
 """Characteristic sublinks, band sums, and the Arf invariant via Fox calculus.
 
-The band sum machinery works on a strand-level model of the diagram:
-crossings hold working arc ids in their four slots, every arc knows its two
-end slots, and components are cyclic arc sequences.  A component that
-shares a crossing with the running knot is banded onto it in the face
-corner between slots 0 and 1 of that crossing, which the two crossing arcs
-bound, so the band meets no strand; it takes one half-twist crossing when
-the over strand enters at slot 1.  A component sharing no crossing lies in
-a separate diagram piece and is joined by a split fusion.  Each fusion thus
-adds at most one crossing.  Deleting components and banding in a face
-corner or between pieces keep a diagram planar and its labels in blocks, so
-sublinks and band sums re-derive only their orientation; the component
-search and face check are for codes read from input.
+A band sum fuses the components of a diagram into one knot: it smooths
+crossings between components and joins separate diagram pieces by swapping
+two arcs' head slots.  Deleting components, smoothing and split fusions
+keep a diagram planar, so sublinks and band sums re-derive only their
+orientation; the component search and face check are for codes read from
+input.
 
 The Alexander polynomial, from which the knot determinant and the Arf
 invariant are read, is one integer determinant by Kronecker substitution.
@@ -119,158 +113,96 @@ def characteristic_sublink(link: FramedLink, c: Sequence[int]) -> FramedLink:
     )
 
 
-class _Surgery:
-    """Mutable strand-level diagram state used while banding components.
-
-    Components are keyed by their place after `order`: the running knot is
-    key 0, and every other key lasts until its component is banded onto it.
-    Tables indexed by arc hold each arc's head and tail end, as (crossing,
-    slot), and the key of the component it lies on.
-    """
-
-    def __init__(self, link: FramedLink, order):
-        self.crossings: list[list[int]] = [list(t) for t in link.crossings]
-        self.over_in: list[int] = list(link.over_in)
-        size = 2 * len(link.crossings) + 1  # arcs are 1..2n; entry 0 is unused
-        self.head: list = [None] * size
-        self.tail: list = [None] * size
-        for k, (t, oi) in enumerate(zip(link.crossings, link.over_in)):
-            self.head[t[0]], self.tail[t[2]] = (k, 0), (k, 2)
-            self.head[t[oi]], self.tail[t[4 - oi]] = (k, oi), (k, 4 - oi)
-        comps = link.components if order is None else [link.components[i] for i in order]
-        self.comps = {key: list(comp) for key, comp in enumerate(comps)}
-        self.owner = [0] * size
-        for key, comp in self.comps.items():
-            for a in comp:
-                self.owner[a] = key
-
-    def fresh(self) -> int:
-        self.head.append(None)
-        self.tail.append(None)
-        self.owner.append(0)
-        return len(self.owner) - 1
-
-    def rewire(self, pos: tuple[int, int], arc: int, ends: list) -> None:
-        self.crossings[pos[0]][pos[1]] = arc
-        ends[arc] = pos
-
-    def absorb(self, cj: int) -> list[int]:
-        """Remove component cj and hand its arcs to the running knot."""
-        arcs = self.comps.pop(cj)
-        for a in arcs:
-            self.owner[a] = 0
-        return arcs
-
-    def join(self, cj: int, alpha: int, alphap: int, twist_in=None) -> None:
-        """Band arc alpha of the running knot to arc alphap of component cj.
-
-        The band sides replace both arcs: g runs from alpha's tail to
-        alphap's head, h from alphap's tail to alpha's head.  With twist_in
-        set, the sides cross once in a half-twist, h over g and entering at
-        slot twist_in.
-        """
-        ta, ha = self.tail[alpha], self.head[alpha]
-        tb, hb = self.tail[alphap], self.head[alphap]
-        g, h = [self.fresh()], [self.fresh()]
-        if twist_in is not None:
-            g.append(self.fresh())
-            h.insert(0, self.fresh())
-            kt = len(self.crossings)
-            self.crossings.append([0, 0, 0, 0])
-            self.over_in.append(twist_in)
-            self.rewire((kt, 0), g[0], self.head)
-            self.rewire((kt, 2), g[1], self.tail)
-            self.rewire((kt, twist_in), h[0], self.head)
-            self.rewire((kt, 4 - twist_in), h[1], self.tail)
-        self.rewire(ta, g[0], self.tail)
-        self.rewire(hb, g[-1], self.head)
-        self.rewire(tb, h[0], self.tail)
-        self.rewire(ha, h[-1], self.head)
-        a_arcs, b_arcs = self.comps[0], self.absorb(cj)
-        ia, ib = a_arcs.index(alpha), b_arcs.index(alphap)
-        self.comps[0] = g + b_arcs[ib + 1:] + b_arcs[:ib] + h + a_arcs[ia + 1:] + a_arcs[:ia]
-
-    def fuse_trivial(self, cj: int, alpha, alphap) -> None:
-        """Band component cj on, sharing no face with the running knot: a split fusion."""
-        if not self.comps[cj]:
-            del self.comps[cj]
-        elif not self.comps[0]:
-            self.comps[0] = self.absorb(cj)
-        else:
-            self.join(cj, alpha, alphap)
-
-    def fuse_banded(self, cj: int, k: int) -> None:
-        """Band component cj on in the face corner between slots 0 and 1 of crossing k.
-
-        The arcs in slots 0 and 1, one from each component, bound that
-        corner, so the band crosses no strand.  When the over strand enters
-        at slot 1 both arcs run into the crossing, the corner lies on
-        opposite sides of them, and the band takes a half-twist, whose
-        chirality depends on which of the two arcs the running knot holds.
-        """
-        t = self.crossings[k]
-        alpha, alphap = (t[0], t[1]) if self.owner[t[0]] == 0 else (t[1], t[0])
-        twist_in = None
-        if self.over_in[k] == 1:
-            twist_in = 3 if alpha == t[1] else 1
-        self.join(cj, alpha, alphap, twist_in)
-
-
 def band_sum(
     sub: FramedLink,
     *,
     order: Optional[Sequence[int]] = None,
     arc_offset: int = 0,
 ) -> KnotDiagram:
-    """Join all components of a diagram into one knot by band sums.
+    """Join all components of a diagram into one knot by fusion bands.
 
-    The first component is the running knot.  Each step bands onto it the
-    earliest remaining component that shares a crossing with it, at one of
-    their shared crossings, which adds at most one crossing; a component
-    sharing none is joined by a split fusion at one arc of each side.
-    `order` permutes the components first, which picks the starting
-    component and the preference among candidates; `arc_offset` rotates the
-    shared crossing used (in crossing order), or the attachment arcs of a
-    split fusion (in arc order).  Any choice yields a valid band sum, so
-    invariants downstream must not depend on it.  The empty diagram yields
-    the crossingless unknot.
+    The oriented smoothing of a crossing between two components is a
+    fusion whose band is a small rectangle around the crossing itself.
+    The crossings are scanned cyclically from index `arc_offset`, and each
+    one whose strands lie on components not fused yet is smoothed, so the
+    smoothed crossings form one spanning tree per diagram piece.  The
+    pieces are then joined by split fusions in `order`, a permutation of
+    the components: one arc of the running knot and one arc of the next
+    piece swap their head slots.  Crossingless components drop out, and the
+    empty diagram yields the crossingless unknot.
+
+    Any choice yields a valid fusion of the same link.  Robertello (Comm.
+    Pure Appl. Math. 18, 1965) shows that every knot fused from a proper
+    link, such as a characteristic sublink, has the same Arf invariant.
+    Two closed plane curves cross an even number of times, so a crossing
+    between two of them is no cut vertex, and smoothing it never
+    disconnects a piece.  With n crossings and mu_p components in piece p,
+    the knot therefore has n' = n - sum_p (mu_p - 1) crossings, and as a
+    connected plane diagram it has n' + 2 faces.
     """
-    if order is not None and sorted(order) != list(range(sub.component_count())):
+    m = sub.component_count()
+    try:
+        arc_offset = index(arc_offset)
+        order = range(m) if order is None else list(map(index, order))
+    except TypeError as exc:
+        raise MalformedInput(f"order and arc_offset must be integers: {exc}") from exc
+    if sorted(order) != list(range(m)):
         raise MalformedInput("order must be a permutation of the components")
-    if not sub.components:
+    xs, over_in, comp_of = sub.crossings, sub.over_in, sub._arc_component
+    n = len(xs)
+    fused = list(range(m))  # union-find over components
+    arc = list(range(2 * n + 1))  # union-find over the arcs smoothings merge
+    smoothed = [False] * n
+    for i in range(n):
+        k = (i + arc_offset) % n
+        a, b, c, d = xs[k]
+        ra, rb = _root(fused, comp_of[a]), _root(fused, comp_of[b])
+        if ra == rb:
+            continue
+        fused[ra] = rb
+        smoothed[k] = True
+        # Each incoming arc runs on along the outgoing arc next to it.
+        for x, y in ((a, d), (b, c)) if over_in[k] == 1 else ((a, b), (d, c)):
+            arc[_root(arc, x)] = _root(arc, y)
+
+    kept = [k for k in range(n) if not smoothed[k]]
+    ys = [[_root(arc, a) for a in xs[k]] for k in kept]
+    signs = tuple(over_in[k] for k in kept)
+    head: list = [None] * (2 * n + 1)  # kept crossing and slot where an arc ends
+    pieces: dict[int, list[int]] = {}  # fused component -> its arcs
+    for j, (t, oi) in enumerate(zip(ys, signs)):
+        for s in (0, oi):
+            head[t[s]] = (j, s)
+            pieces.setdefault(_root(fused, comp_of[t[s]]), []).append(t[s])
+    ends = []
+    for i in order:
+        arcs = pieces.pop(_root(fused, i), None)
+        if arcs:
+            ends.append(arcs[arc_offset % len(arcs)])
+    if not ends:
         return KnotDiagram.unknot()
-    st = _Surgery(sub, order)
+    alpha = ends[0]
+    for beta in ends[1:]:
+        (ja, sa), (jb, sb) = head[alpha], head[beta]
+        ys[ja][sa], ys[jb][sb] = beta, alpha
+        head[alpha], head[beta] = (jb, sb), (ja, sa)
 
-    def pick(arcs):
-        return sorted(arcs)[arc_offset % len(arcs)] if arcs else None
-
-    owner = st.owner
-    while len(st.comps) > 1:
-        shared: dict[int, list[int]] = {}
-        for k, t in enumerate(st.crossings):
-            o, p = owner[t[0]], owner[t[1]]
-            if o != p and not (o and p):  # exactly one strand on the running knot
-                shared.setdefault(o or p, []).append(k)
-        if shared:
-            j = min(shared)
-            st.fuse_banded(j, shared[j][arc_offset % len(shared[j])])
-        else:
-            j = min(st.comps.keys() - {0})
-            st.fuse_trivial(j, pick(st.comps[0]), pick(st.comps[j]))
-
-    cyc = st.comps[0]
-    if not cyc:
-        return KnotDiagram.unknot()
-    start = cyc.index(min(cyc))
-    label = [0] * len(owner)
-    for i, a in enumerate(cyc[start:] + cyc[:start], 1):
-        label[a] = i
-    xs = tuple((label[a], label[b], label[c], label[d]) for a, b, c, d in st.crossings)
-    # K_c is one cycle of labels 1..2n, so only its orientation is derived.
-    over_in = _resolve_over_directions(xs, _successors([range(1, len(cyc) + 1)], len(cyc)))
-    if over_in != tuple(st.over_in):
-        raise InternalInvariantViolation("banded diagram signs disagree with construction")
-    return KnotDiagram(xs, over_in)
+    # Relabel along the knot from its smallest arc; an arc ending at slot s
+    # continues from slot s + 2 of the same crossing.
+    label = [0] * (2 * n + 1)
+    x, size = min(map(min, ys)), 0
+    while not label[x]:
+        size += 1
+        label[x] = size
+        j, s = head[x]
+        x = ys[j][(s + 2) % 4]
+    if size != 2 * len(ys):
+        raise InternalInvariantViolation(f"fused diagram closes after {size} of {2 * len(ys)} arcs")
+    kc = tuple((label[a], label[b], label[c], label[d]) for a, b, c, d in ys)
+    # K_c is one cycle of labels 1..2n', so only its orientation is derived.
+    if _resolve_over_directions(kc, _successors([range(1, size + 1)], size)) != signs:
+        raise InternalInvariantViolation("fused diagram signs disagree with construction")
+    return KnotDiagram(kc, signs)
 
 
 # --- Alexander polynomial via the Wirtinger presentation and Fox calculus ---

@@ -593,6 +593,16 @@ class TestRecursionLimit:
             congruent_with_witness(I(self.RANK), I(self.RANK))
         assert len(enumerated) == 2
 
+    def test_rank_at_limit_stops_before_reduction(self, monkeypatch):
+        # A rank at the limit is known to be too deep before LLL runs.
+        limit_recursion(self.RANK // 2)
+        n = sys.getrecursionlimit()
+        reduced = []
+        monkeypatch.setattr(forms, "lll_reduce", reduced.append)
+        with pytest.raises(ResourceLimitExceeded, match=f"rank {n} passes"):
+            congruent_with_witness(I(n), I(n))
+        assert reduced == []
+
     def test_cli_exits_2(self, tmp_path, capsys):
         from kirby4.cli import run
 

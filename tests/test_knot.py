@@ -29,7 +29,13 @@ from kirby4.knot import (
     characteristic_sublink,
 )
 
-from conftest import S, pd_face_count, wirtinger_determinant_recount, wirtinger_minor_at
+from conftest import (
+    S,
+    pd_face_count,
+    pd_piece_count,
+    wirtinger_determinant_recount,
+    wirtinger_minor_at,
+)
 
 TREFOIL = KnotDiagram.build(TREFOIL_PD)
 FIG8 = KnotDiagram.build(FIGURE_EIGHT_PD)
@@ -39,7 +45,8 @@ UNKNOT = KnotDiagram.unknot()
 # off-diagonal entries the whole link is characteristic.
 CHAIN_FRAMINGS = [(1, 1, 3, 1), (1, 1, 1, 3, 3), (1, 1, 1, 3, -1, -1)]
 LONG_CHAIN_FRAMINGS = [(1, 1, 1, 3, -1, 3, 1), (1, 1, 1, 1, 1, 3, 3, 3),
-                       (1, 3, 1, 1, 3, 1, 3, 3, 1, 1, 3, 1)]
+                       (1, 3, 1, 1, 3, 1, 3, 3, 1, 1, 3, 1),
+                       (1, 5, 5, 5, 5, 5, 5, 5, 5, 3, 3, 1, 5, 3, -3, 3, 5, 1)]
 
 
 def mirror_knot(k):
@@ -233,13 +240,6 @@ class TestBandSum:
             rebuilt = KnotDiagram.build(k.crossings)
             assert rebuilt.over_in == k.over_in
 
-    def test_each_fusion_adds_at_most_one_crossing(self):
-        for sub in chain_sublinks():
-            bound = len(sub.crossings) + sub.component_count() - 1
-            for k in band_variants(sub):
-                assert len(k.crossings) <= bound
-                assert pd_face_count(k.crossings) == len(k.crossings) + 2
-
     def test_chain_band_sums_match_recount(self):
         for sub in chain_sublinks():
             arfs = set()
@@ -248,23 +248,30 @@ class TestBandSum:
                 arfs.add(arf_invariant(k))
             assert len(arfs) == 1
 
-    def test_half_twist_taken_both_ways(self):
-        # Every crossing of this clasp is positive, so its over strands enter
-        # at slot 3 and no band twists; in its mirror every band twists, and
-        # the two orders put the running knot on either strand.  A twisted
-        # band adds exactly one crossing and every other fusion adds none.
-        link = clasp_link(S([[1, 2], [2, 3]]))
-        twists = set()
-        for sub in (link, mirror(link)):
-            for k in band_variants(sub):
-                assert pd_face_count(k.crossings) == len(k.crossings) + 2
-                assert alexander_at_minus_one(k) == wirtinger_determinant_recount(k.crossings)
-                twists.add(len(k.crossings) - len(sub.crossings))
-        assert twists == {0, 1}
+    def test_smoothings_give_exact_crossing_and_face_counts(self):
+        # Each piece of mu_p components loses the mu_p - 1 crossings its
+        # spanning tree smooths, and split fusions add none, so K_c is a
+        # connected plane diagram with n - sum_p (mu_p - 1) crossings.
+        split = split_union(clasp_link(S([[1, 2], [2, 3]])), trefoil(1))
+        for link in [*chain_sublinks(), split]:
+            for sub in (link, mirror(link)):
+                drop = sub.component_count() - sub.unknots - pd_piece_count(sub.crossings)
+                for k in band_variants(sub):
+                    assert len(k.crossings) == len(sub.crossings) - drop
+                    assert pd_face_count(k.crossings) == len(k.crossings) + 2
+                    assert alexander_at_minus_one(k) == wirtinger_determinant_recount(k.crossings)
 
     def test_bad_order_rejected(self):
         with pytest.raises(MalformedInput):
             band_sum(hopf_link(0, 0), order=[0, 0])
+
+    @pytest.mark.parametrize("kwargs", [
+        {"order": [0.0, 1]}, {"order": ["0", 1]}, {"order": [0, None]},
+        {"arc_offset": 1.0}, {"arc_offset": "1"},
+    ])
+    def test_non_integer_choices_rejected(self, kwargs):
+        with pytest.raises(MalformedInput):
+            band_sum(hopf_link(0, 0), **kwargs)
 
 
 class TestAlexander:
@@ -300,7 +307,7 @@ class TestAlexander:
             assert alexander_at_minus_one(k) == wirtinger_determinant_recount(k.crossings)
 
     def test_polynomial_matches_wirtinger_oracle(self):
-        # Band sums of chains of rank 4-8 and 12 (up to 52 crossings) with
+        # Band sums of chains of rank 4-8, 12 and 18 (up to 54 crossings) with
         # and without a tied trefoil, their mirrors, and the one-crossing
         # kinks, whose minor is 0x0.
         knots = [KnotDiagram.build([(1, 1, 2, 2)]), KnotDiagram.build([(1, 2, 2, 1)])]
@@ -319,8 +326,8 @@ class TestAlexander:
             assert dense[::-1] in (dense, [-c for c in dense])
 
     def test_split_unions_of_long_chains_match_oracle(self):
-        # Two and three copies of the rank-12 chain with a trefoil tied in:
-        # band sums of about 104 and 156 crossings, a connected sum of the
+        # Two and three copies of the rank-18 chain with a trefoil tied in:
+        # band sums of 108 and 162 crossings, a connected sum of the
         # copies' band sums, so the determinant is the product of theirs.
         one = tie_trefoil(chain_link(LONG_CHAIN_FRAMINGS[-1]), 0)
         single = alexander_at_minus_one(characteristic_band_sum(one))
