@@ -248,6 +248,30 @@ class TestBandSum:
                 arfs.add(arf_invariant(k))
             assert len(arfs) == 1
 
+    def test_each_fusion_adds_at_most_one_crossing(self):
+        # A smoothing fusion adds no crossing at all, so the bound of the
+        # old strand-surgery band (one crossing per fusion) holds loosely.
+        for sub in chain_sublinks():
+            bound = len(sub.crossings) + sub.component_count() - 1
+            for k in band_variants(sub):
+                assert len(k.crossings) <= bound
+                assert len(k.crossings) <= len(sub.crossings)
+                assert pd_face_count(k.crossings) == len(k.crossings) + 2
+
+    def test_half_twist_taken_both_ways(self):
+        # Every crossing of this clasp is positive and every crossing of its
+        # mirror negative; a band that twisted on one sign would give the two
+        # a different crossing count.  Smoothing needs no half-twist, so
+        # every order and offset on either side drops the same one crossing.
+        link = clasp_link(S([[1, 2], [2, 3]]))
+        drops = set()
+        for sub in (link, mirror(link)):
+            for k in band_variants(sub):
+                assert pd_face_count(k.crossings) == len(k.crossings) + 2
+                assert alexander_at_minus_one(k) == wirtinger_determinant_recount(k.crossings)
+                drops.add(len(sub.crossings) - len(k.crossings))
+        assert drops == {link.component_count() - link.unknots - pd_piece_count(link.crossings)}
+
     def test_smoothings_give_exact_crossing_and_face_counts(self):
         # Each piece of mu_p components loses the mu_p - 1 crossings its
         # spanning tree smooths, and split fusions add none, so K_c is a
