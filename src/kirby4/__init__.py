@@ -39,7 +39,6 @@ from .forms import (
 )
 from .invariants import ManifoldInvariants, intersection_form, kirby_siebenmann
 from .knot import (
-    KnotDiagram,
     alexander_at_minus_one,
     alexander_polynomial,
     arf_invariant,
@@ -56,7 +55,6 @@ __all__ = [
     "InputError",
     "InternalInvariantViolation",
     "KirbyError",
-    "KnotDiagram",
     "ManifoldInvariants",
     "ResourceLimitExceeded",
     "SymIntMatrix",

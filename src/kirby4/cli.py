@@ -26,12 +26,11 @@ from .errors import (
     InputError,
     InternalInvariantViolation,
     MalformedInput,
-    NotAKnot,
     ResourceLimitExceeded,
 )
 from .forms import characteristic_vector, classify, congruent_with_witness
 from .invariants import kirby_siebenmann
-from .knot import KnotDiagram, _arf_from_determinant, alexander_at_minus_one
+from .knot import _arf_from_determinant, alexander_at_minus_one
 from .matrices import SymIntMatrix
 
 
@@ -98,11 +97,7 @@ def _cmd_charvec(args):
 
 
 def _cmd_arf(args):
-    link = _load_link(args.link)
-    if link.component_count() != 1:
-        raise NotAKnot(f"arf needs one component, got {link.component_count()}")
-    # The parse has validated the code, so the link's crossings are the knot.
-    det = alexander_at_minus_one(KnotDiagram(link.crossings, link.over_in))
+    det = alexander_at_minus_one(_load_link(args.link))
     return {"arf": _arf_from_determinant(det), "determinant": det}
 
 

@@ -7,11 +7,11 @@ occupies slots 1 and 3.  Arc labels run 1..N and are consecutive along each
 component in traversal order, which is how orientation is encoded.
 Crossingless unknot components cannot be expressed in a PD code, so a
 framed link carries an explicit count of them, listed after the PD
-components.  A code must be planar; `FramedLink.build` and
-`KnotDiagram.build` count its faces and reject a virtual diagram.  Only a
-code that comes in is validated: mirrors and sublinks are derived from a
-validated link and keep it planar, so they skip the label, component and
-face checks.
+components.  A knot is a framed link with one component.  A code must be
+planar; `FramedLink.build` and `parse_framed_link` count its faces and
+reject a virtual diagram.  Only a code that comes in is validated: mirrors,
+sublinks and band sums are derived from a validated link and keep it
+planar, so they skip the label, component and face checks.
 """
 
 from __future__ import annotations
@@ -75,11 +75,11 @@ class FramedLink:
                  name=None) -> "FramedLink":
         """Assemble a link from a planar code whose PD components are `comps`.
 
-        Only the orientation is derived here, from the label successors of
+        Only the orientation is derived here, from the label order of
         `comps`, which checks every strand's succession and that each arc
         has one incoming end.
         """
-        over_in = _resolve_over_directions(xs, _successors(comps, 2 * len(xs)))
+        over_in = _resolve_over_directions(xs, comps)
         total = len(comps) + unknots
         if len(framings) != total:
             raise FramingCountMismatch(
@@ -170,18 +170,6 @@ def _pd_components(xs: tuple[Crossing, ...]) -> list[tuple[int, ...]]:
     return [tuple(c) for c in comps]
 
 
-def _successors(comps, n_arcs: int) -> list[int]:
-    """The next label along its component of every arc 1..n_arcs.
-
-    Each component must be one consecutive block of labels.
-    """
-    succ = list(range(1, n_arcs + 2))
-    for comp in comps:
-        if comp:
-            succ[comp[-1]] = comp[0]
-    return succ
-
-
 def _check_planar(xs: tuple[Crossing, ...]) -> None:
     """Reject a PD code whose crossings and arcs do not form a plane diagram.
 
@@ -218,18 +206,22 @@ def _check_planar(xs: tuple[Crossing, ...]) -> None:
         raise InvalidPD(f"not a planar diagram: {faces} faces, {n} crossings, {pieces} pieces")
 
 
-def _resolve_over_directions(xs: tuple[Crossing, ...], succ) -> tuple[int, ...]:
+def _resolve_over_directions(xs: tuple[Crossing, ...], comps) -> tuple[int, ...]:
     """Decide, per crossing, whether the over-strand enters at slot 1 or 3.
 
-    Every strand must follow the label successors `succ`: the under-strand
-    runs a -> c, and label succession settles a crossing when exactly one
-    of b -> d, d -> b follows it.  When both do, the strand lies on a one-
-    or two-arc component; walking these crossings in order, it enters by
-    the arc with no incoming end yet, or at slot 3 if neither has one (a
-    component that never passes under is unoriented by the code, and the
-    choice cannot affect any linking number).  Each arc must get exactly
-    one incoming end.
+    Each PD component in `comps` is one consecutive block of labels, whose
+    last label is followed by its first.  Every strand must follow this
+    label succession: the under-strand runs a -> c, and succession settles
+    a crossing when exactly one of b -> d, d -> b follows it.  When both
+    do, the strand lies on a one- or two-arc component; walking these
+    crossings in order, it enters by the arc with no incoming end yet, or
+    at slot 3 if neither has one (a component that never passes under is
+    unoriented by the code, and the choice cannot affect any linking
+    number).  Each arc must get exactly one incoming end.
     """
+    succ = list(range(1, 2 * len(xs) + 2))
+    for comp in comps:
+        succ[comp[-1]] = comp[0]
     heads = [0] * (2 * len(xs) + 1)  # incoming ends seen per arc
     over_in = [0] * len(xs)  # 0 until settled
     for k, (a, b, c, d) in enumerate(xs):

@@ -35,7 +35,7 @@ class LengthMismatch(InputError):
 
 
 class NotAKnot(InputError):
-    """A knot-only operation was applied to a multi-component diagram."""
+    """A knot-only operation was applied to a diagram without exactly one component."""
 
 
 class NotUnimodular(InputError):

@@ -1,11 +1,12 @@
 """Characteristic sublinks, band sums, and the Arf invariant via Fox calculus.
 
-A band sum fuses the components of a diagram into one knot: it smooths
-crossings between components and joins separate diagram pieces by swapping
-two arcs' head slots.  Deleting components, smoothing and split fusions
-keep a diagram planar, so sublinks and band sums re-derive only their
-orientation; the component search and face check are for codes read from
-input.
+A knot is a `FramedLink` with one component.  A band sum fuses the
+components of a diagram into one knot: it smooths crossings between
+components and joins separate diagram pieces by swapping two arcs' head
+slots.  Deleting components, smoothing and split fusions keep a diagram
+planar, so sublinks and band sums re-derive only their orientation; the
+component search and face check of `FramedLink.build` are for codes read
+from input.
 
 The Alexander polynomial, from which the knot determinant and the Arf
 invariant are read, is one integer determinant by Kronecker substitution.
@@ -13,20 +14,10 @@ invariant are read, is one integer determinant by Kronecker substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import Optional, Sequence
 
-from .diagram import (
-    Crossing,
-    FramedLink,
-    _check_planar,
-    _normalize_crossings,
-    _pd_components,
-    _resolve_over_directions,
-    _root,
-    _successors,
-)
+from .diagram import FramedLink, _root
 from .errors import (
     InternalInvariantViolation,
     LengthMismatch,
@@ -34,29 +25,6 @@ from .errors import (
     NotAKnot,
 )
 from .matrices import bareiss_det
-
-
-@dataclass(frozen=True)
-class KnotDiagram:
-    """A one-component diagram."""
-
-    crossings: tuple[Crossing, ...]
-    over_in: tuple[int, ...]
-
-    @classmethod
-    def build(cls, crossings) -> "KnotDiagram":
-        """Validate a raw knot code as `FramedLink.build` does; a valid link raises NotAKnot."""
-        xs = _normalize_crossings(crossings)
-        comps = _pd_components(xs)
-        _check_planar(xs)
-        over_in = _resolve_over_directions(xs, _successors(comps, 2 * len(xs)))
-        if xs and len(comps) != 1:
-            raise NotAKnot(f"diagram has {len(comps)} components")
-        return cls(xs, over_in)
-
-    @classmethod
-    def unknot(cls) -> "KnotDiagram":
-        return cls((), ())
 
 
 def characteristic_sublink(link: FramedLink, c: Sequence[int]) -> FramedLink:
@@ -118,7 +86,7 @@ def band_sum(
     *,
     order: Optional[Sequence[int]] = None,
     arc_offset: int = 0,
-) -> KnotDiagram:
+) -> FramedLink:
     """Join all components of a diagram into one knot by fusion bands.
 
     The oriented smoothing of a crossing between two components is a
@@ -129,7 +97,9 @@ def band_sum(
     pieces are then joined by split fusions in `order`, a permutation of
     the components: one arc of the running knot and one arc of the next
     piece swap their head slots.  Crossingless components drop out, and the
-    empty diagram yields the crossingless unknot.
+    empty diagram yields the crossingless unknot.  The knot is returned as
+    a one-component link of framing 0, since the Arf invariant does not
+    read framings.
 
     Any choice yields a valid fusion of the same link.  Robertello (Comm.
     Pure Appl. Math. 18, 1965) shows that every knot fused from a proper
@@ -180,7 +150,7 @@ def band_sum(
         if arcs:
             ends.append(arcs[arc_offset % len(arcs)])
     if not ends:
-        return KnotDiagram.unknot()
+        return FramedLink._derived((), [], 1, (0,))
     alpha = ends[0]
     for beta in ends[1:]:
         (ja, sa), (jb, sb) = head[alpha], head[beta]
@@ -200,19 +170,21 @@ def band_sum(
         raise InternalInvariantViolation(f"fused diagram closes after {size} of {2 * len(ys)} arcs")
     kc = tuple((label[a], label[b], label[c], label[d]) for a, b, c, d in ys)
     # K_c is one cycle of labels 1..2n', so only its orientation is derived.
-    if _resolve_over_directions(kc, _successors([range(1, size + 1)], size)) != signs:
+    knot = FramedLink._derived(kc, [tuple(range(1, size + 1))], 0, (0,))
+    if knot.over_in != signs:
         raise InternalInvariantViolation("fused diagram signs disagree with construction")
-    return KnotDiagram(kc, signs)
+    return knot
 
 
 # --- Alexander polynomial via the Wirtinger presentation and Fox calculus ---
 
 
-def alexander_polynomial(k: KnotDiagram) -> dict[int, int]:
+def alexander_polynomial(k: FramedLink) -> dict[int, int]:
     """Alexander polynomial from Fox derivatives of the Wirtinger presentation.
 
     Returned as {exponent: coefficient} with no zero terms, and well-defined
-    up to units +-t^k; the crossingless unknot gives {0: 1}.  Row i
+    up to units +-t^k; the crossingless unknot gives {0: 1}.  A diagram
+    with other than one component raises NotAKnot.  Row i
     of the matrix is crossing i: t, 1 - t, -1 at its incoming under, over and
     outgoing under generators if it is positive, t^-1, 1 - t^-1, -1 if not.
     Delta is the minor without the last row and column.
@@ -228,6 +200,8 @@ def alexander_polynomial(k: KnotDiagram) -> dict[int, int]:
     base-2^B digits of P(2^B), lowest first, are the coefficients of
     t^-shift, t^(1-shift), ... of Delta.
     """
+    if k.component_count() != 1:
+        raise NotAKnot(f"a knot diagram needs one component, got {k.component_count()}")
     n = len(k.crossings)
     if n == 0:
         return {0: 1}
@@ -277,7 +251,7 @@ def _arf_from_determinant(d: int) -> int:
     raise InternalInvariantViolation(f"knot determinant is {d} mod 8")
 
 
-def alexander_at_minus_one(k: KnotDiagram) -> int:
+def alexander_at_minus_one(k: FramedLink) -> int:
     """The knot determinant |Delta(-1)|; always an odd positive integer."""
     value = abs(sum(-c if e % 2 else c for e, c in alexander_polynomial(k).items()))
     if value % 2 == 0:
@@ -285,6 +259,6 @@ def alexander_at_minus_one(k: KnotDiagram) -> int:
     return value
 
 
-def arf_invariant(k: KnotDiagram) -> int:
+def arf_invariant(k: FramedLink) -> int:
     """Arf invariant of a knot, from its determinant."""
     return _arf_from_determinant(alexander_at_minus_one(k))

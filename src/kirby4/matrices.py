@@ -63,12 +63,6 @@ class SymIntMatrix:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(self.n))
 
-    def direct_sum(self, other: "SymIntMatrix") -> "SymIntMatrix":
-        n, m = self.n, other.n
-        rows = [list(self.entries[i]) + [0] * m for i in range(n)]
-        rows += [[0] * n + list(other.entries[i]) for i in range(m)]
-        return SymIntMatrix.from_rows(rows)
-
     @cached_property
     def det(self) -> int:
         return bareiss_det(self.rows())

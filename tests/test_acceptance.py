@@ -10,7 +10,7 @@ import time
 import pytest
 
 from kirby4.classify import homeomorphic_oriented, homeomorphic_unoriented
-from kirby4.diagram import linking_matrix
+from kirby4.diagram import FramedLink, linking_matrix
 from kirby4.fixtures import (
     E8_MATRIX,
     FIGURE_EIGHT_PD,
@@ -30,7 +30,6 @@ from kirby4.forms import (
 )
 from kirby4.invariants import kirby_siebenmann
 from kirby4.knot import (
-    KnotDiagram,
     alexander_at_minus_one,
     arf_invariant,
     band_sum,
@@ -40,6 +39,7 @@ from kirby4.matrices import SymIntMatrix, bareiss_det
 
 from conftest import (
     S,
+    block_diag,
     brute_force_congruent,
     random_unimodular,
     random_unimodular_symmetric,
@@ -104,9 +104,9 @@ def test_criterion_2_e8_manifold():
 
 def test_criterion_3_indefinite_classification():
     with _Budget(1.0) as budget:
-        assert congruent(S([[1]]).direct_sum(H), DIAG(1, 1, -1)) is True
+        assert congruent(S(block_diag([[1]], H.rows())), DIAG(1, 1, -1)) is True
         assert congruent(H, DIAG(1, -1)) is False
-        assert congruent(E8_MATRIX.direct_sum(S([[-1]])), DIAG(*([1] * 8 + [-1]))) is True
+        assert congruent(S(block_diag(E8_MATRIX.rows(), [[-1]])), DIAG(*([1] * 8 + [-1]))) is True
     report(3, "indefinite forms decided by rank/signature/parity", budget)
 
 
@@ -128,9 +128,9 @@ def test_criterion_4_definite_enumeration():
 
 def test_criterion_5_arf_oracle_agreement():
     diagrams = {
-        "unknot": KnotDiagram.unknot(),
-        "trefoil": KnotDiagram.build(TREFOIL_PD),
-        "figure-eight": KnotDiagram.build(FIGURE_EIGHT_PD),
+        "unknot": FramedLink.build([], unknots=1, framings=[0]),
+        "trefoil": FramedLink.build(TREFOIL_PD, framings=[0]),
+        "figure-eight": FramedLink.build(FIGURE_EIGHT_PD, framings=[0]),
     }
     expected = {"unknot": (0, 1), "trefoil": (1, 3), "figure-eight": (1, 5)}
     for name, k in diagrams.items():
@@ -234,11 +234,11 @@ def test_criterion_7_brute_force_oracle():
         (DIAG(1, -1), S([[1, 2], [2, 3]]), True),
         (DIAG(1, 1), DIAG(1, -1), False),
         (DIAG(-1, -1), S([[-2, -1], [-1, -1]]), True),
-        (DIAG(1, 1, -1), S([[1]]).direct_sum(H), True),
+        (DIAG(1, 1, -1), S(block_diag([[1]], H.rows())), True),
         (DIAG(1, 1, 1), S([[2, 1, 0], [1, 1, 0], [0, 0, 1]]), True),
         (DIAG(1, 1, 1), DIAG(1, 1, -1), False),
         (DIAG(1, -1, -1), DIAG(1, 1, -1), False),
-        (S([[1]]).direct_sum(H), S([[-1]]).direct_sum(H), False),
+        (S(block_diag([[1]], H.rows())), S(block_diag([[-1]], H.rows())), False),
     ]
     for v, w, expected in pairs:
         assert congruent(v, w) is expected

@@ -92,7 +92,6 @@ def test_arf_validates_the_code_once(fx, capsys, monkeypatch):
     original = diagram._pd_components
     counting = lambda xs: calls.append(xs) or original(xs)  # noqa: E731
     monkeypatch.setattr(diagram, "_pd_components", counting)
-    monkeypatch.setattr(knot, "_pd_components", counting)
     code, out = run_json(capsys, ["arf", fx("chern")])
     assert code == 0 and out == {"arf": 1, "determinant": 3}
     assert len(calls) == 1
@@ -100,7 +99,7 @@ def test_arf_validates_the_code_once(fx, capsys, monkeypatch):
 
 def test_arf_rejects_links(fx, capsys):
     assert run(["arf", fx("s2xs2")]) == 1
-    assert "error" in capsys.readouterr().err
+    assert "needs one component, got 2" in capsys.readouterr().err
 
 
 def test_ks(fx, capsys):

@@ -20,7 +20,7 @@ from kirby4.errors import (
     MalformedInput,
     NotAKnot,
 )
-from kirby4.knot import KnotDiagram
+from kirby4.knot import alexander_polynomial
 from kirby4 import fixtures
 from kirby4.fixtures import E8_MATRIX, e8_link
 from conftest import S, pd_face_count, pd_piece_count
@@ -92,8 +92,7 @@ class TestBuild:
 
 
 class TestInputBoundary:
-    """Parsing, `FramedLink.build` and, for a knot code, `KnotDiagram.build`
-    validate every code that comes in."""
+    """Parsing and `FramedLink.build` validate every code that comes in."""
 
     CASES = {
         "label_zero": ([[0, 3, 2, 4], [3, 1, 4, 2]], [0, 0], MalformedInput),
@@ -115,9 +114,6 @@ class TestInputBoundary:
             parse_framed_link(encode(pd, framings))
         with pytest.raises(error):
             FramedLink.build(pd, framings=framings)
-        if len(framings) == 1:
-            with pytest.raises(error):
-                KnotDiagram.build(pd)
 
     @staticmethod
     def outcome(make):
@@ -129,8 +125,8 @@ class TestInputBoundary:
     def test_mutated_fixture_codes(self):
         """Seeded mutations of fixture codes: parsing and `FramedLink.build`
         agree on every one, every accepted code is planar by an independent
-        face and piece count, and `KnotDiagram.build` raises NotAKnot only
-        for a valid link."""
+        face and piece count, and `alexander_polynomial` raises NotAKnot on
+        an accepted code exactly when it has other than one component."""
         rng = random.Random(18)
         codes = [(list(link.crossings), len(link.framings)) for link in fixtures.corpus().values()
                  if link.crossings and not link.unknots]
@@ -153,13 +149,11 @@ class TestInputBoundary:
                     del xs[k]
             parsed = self.outcome(lambda: parse_framed_link(encode(xs, [0] * m)))
             assert parsed == self.outcome(lambda: FramedLink.build(xs, framings=[0] * m)), xs
-            knot = self.outcome(lambda: KnotDiagram.build(xs))
-            assert (knot is InvalidPD) == (parsed is InvalidPD), xs
             if isinstance(parsed, FramedLink):
                 accepted += 1
                 assert pd_face_count(xs) == len(xs) + 2 * pd_piece_count(xs), xs
-                one = parsed.component_count() == 1
-                assert knot == (KnotDiagram(parsed.crossings, parsed.over_in) if one else NotAKnot)
+                not_a_knot = self.outcome(lambda: alexander_polynomial(parsed)) is NotAKnot
+                assert not_a_knot == (parsed.component_count() != 1), xs
         assert accepted > 100
 
     def test_boolean_label_rejected_by_parse(self):

@@ -14,6 +14,7 @@ from kirby4.fixtures import (
     TREFOIL_PD,
     clasp_link,
     corpus,
+    e8_link,
     hopf_link,
     insert_kink,
     split_union,
@@ -21,7 +22,6 @@ from kirby4.fixtures import (
     trefoil,
 )
 from kirby4.knot import (
-    KnotDiagram,
     alexander_at_minus_one,
     alexander_polynomial,
     arf_invariant,
@@ -37,9 +37,9 @@ from conftest import (
     wirtinger_minor_at,
 )
 
-TREFOIL = KnotDiagram.build(TREFOIL_PD)
-FIG8 = KnotDiagram.build(FIGURE_EIGHT_PD)
-UNKNOT = KnotDiagram.unknot()
+TREFOIL = FramedLink.build(TREFOIL_PD, framings=[0])
+FIG8 = FramedLink.build(FIGURE_EIGHT_PD, framings=[0])
+UNKNOT = FramedLink.build([], unknots=1, framings=[0])
 
 # Odd framings that make a path of doubled clasps unimodular; with even
 # off-diagonal entries the whole link is characteristic.
@@ -50,9 +50,8 @@ LONG_CHAIN_FRAMINGS = [(1, 1, 1, 3, -1, 3, 1), (1, 1, 1, 1, 1, 3, 3, 3),
 
 
 def mirror_knot(k):
-    """Swap over and under at every crossing of a knot diagram."""
-    link = FramedLink.build(k.crossings, framings=[0] * bool(k.crossings))
-    return KnotDiagram.build(mirror(link).crossings)
+    """Swap over and under at every crossing of a knot diagram, revalidated."""
+    return FramedLink.build(mirror(k).crossings, framings=[0])
 
 
 def chain_link(framings):
@@ -177,7 +176,7 @@ class TestDerivedDiagrams:
                 kc = band_sum(sub)
                 if kc.crossings:
                     assert pd_face_count(kc.crossings) == len(kc.crossings) + 2
-                    assert KnotDiagram.build(kc.crossings) == kc
+                    assert FramedLink.build(kc.crossings, framings=[0]) == kc
 
 
 class TestBandSum:
@@ -237,8 +236,8 @@ class TestBandSum:
         link = tie_trefoil(clasp_link(S([[1, 2], [2, 3]])), 0)
         for offset in range(4):
             k = band_sum(link, arc_offset=offset)
-            rebuilt = KnotDiagram.build(k.crossings)
-            assert rebuilt.over_in == k.over_in
+            rebuilt = FramedLink.build(k.crossings, framings=[0])
+            assert rebuilt == k
 
     def test_chain_band_sums_match_recount(self):
         for sub in chain_sublinks():
@@ -334,7 +333,8 @@ class TestAlexander:
         # Band sums of chains of rank 4-8, 12 and 18 (up to 54 crossings) with
         # and without a tied trefoil, their mirrors, and the one-crossing
         # kinks, whose minor is 0x0.
-        knots = [KnotDiagram.build([(1, 1, 2, 2)]), KnotDiagram.build([(1, 2, 2, 1)])]
+        knots = [FramedLink.build([(1, 1, 2, 2)], framings=[0]),
+                 FramedLink.build([(1, 2, 2, 1)], framings=[0])]
         for sub in chain_sublinks(CHAIN_FRAMINGS + LONG_CHAIN_FRAMINGS):
             k = band_sum(sub)
             knots += [k, mirror_knot(k)]
@@ -368,11 +368,19 @@ class TestAlexander:
 
     def test_non_integer_labels_rejected(self):
         with pytest.raises(MalformedInput):
-            KnotDiagram.build([(1.9, 4, 2.2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])
+            FramedLink.build([(1.9, 4, 2.2, 5), (3, 6, 4, 1), (5, 2, 6, 3)], framings=[0])
 
     def test_multi_component_rejected(self):
-        with pytest.raises(NotAKnot):
-            KnotDiagram.build(hopf_link(0, 0).crossings)
+        # The knot functions check the component count themselves: the
+        # Wirtinger minor of a link is no knot invariant, and on E8 it would
+        # fail the generator count as an internal error, not an input error.
+        links = [hopf_link(0, 0), e8_link(), FramedLink.build([], framings=[]),
+                 FramedLink.build([], unknots=2, framings=[0, 0])]
+        for link in links:
+            for fn in (alexander_polynomial, alexander_at_minus_one, arf_invariant):
+                message = f"needs one component, got {link.component_count()}"
+                with pytest.raises(NotAKnot, match=message):
+                    fn(link)
 
     def test_determinant_odd_on_band_sums(self):
         for offset in range(3):
