@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from operator import mul, neg
+from operator import add, mul, neg
 from typing import Optional
 
 from .errors import (
@@ -73,88 +73,88 @@ def diagonalize_over_Q(v: SymIntMatrix) -> tuple[IntRows, SymIntMatrix]:
     so every entry of the block and of P is a minor of V and stays under
     Hadamard's bound.  D_ii = d_i * d_(i+1), so the signs of D are the signs
     of consecutive leading-minor ratios (Jacobi).  A division that leaves a
-    remainder raises InternalInvariantViolation.  A zero pivot is repaired
-    by adding a trailing row/column pair with nonzero pairing, a unimodular
-    congruence of the trailing indices that keeps the invariant; one
-    addition can leave the corner zero again (when v_kk = -2 v_ik), in which
-    case a second addition is guaranteed to fix it.
-
-    The rows of the block at pivot time, a_j (row j, zero left of column j,
-    with a_jj = d_(j+1)), are kept in `v.memo` with D: when no pivot needed
-    repair, as for every positive definite form, they factor the form as
-    x^T V x = sum_j (a_j . x)^2 / D_jj, which `short_vectors` enumerates.
+    remainder raises InternalInvariantViolation (floor remainders share the
+    divisor's sign, so they all vanish iff their sum does).  A zero pivot is
+    repaired by adding a trailing row/column pair with nonzero pairing, a
+    unimodular congruence of the trailing indices that keeps the invariant;
+    if that leaves the corner zero (v_kk = -2 v_ik), a second addition fixes it.
 
     Before step i, column k >= i of P is d_i e_k plus a combination of rows
-    < i, so only those rows are stored.  A repair (column i += column k)
-    keeps that shape once row k of P loses row i, so it is logged and
-    row k += row i is replayed on P's rows at the end, last repair first.
+    < i, so only those rows are kept, in one list with row k of the block:
+    L_k = [a_kk ... a_k,m-1 | P_0k ... P_(i-1)k].  Step i replaces L_k by
+    (a_ii L_k - a_ik [a_ik ... a_i,m-1 | P_0i ... P_(i-1)i]) / d_i, the
+    suffix of L_i from a_ik on, and appends P_ik = -a_ik.  When a_ik = 0
+    that would only rescale L_k and append a zero, so L_k is left at
+    d_j = scale[k]: the P entries it lacks are zeros, and `current` appends
+    them and rescales by d_i / scale[k] (the skipped factors telescope)
+    when the row is next used.  That rescale is a division of its own:
+    folded into the step's, the products would be three minors long.
+
+    A repair (column i += column k) keeps P's shape once row k of P loses
+    row i, so row k += row i is replayed on P's rows at the end, last repair
+    first.  The block rows at pivot time, a_j (from column j on, a_jj =
+    d_(j+1)), are kept in `v.memo` with D: when no pivot needed repair, as
+    for every positive definite form, x^T V x = sum_j (a_j . x)^2 / D_jj,
+    which `short_vectors` enumerates.
     """
     _require_unimodular(v)
     m = v.n
-    a = v.rows()  # a[k][k:] is row k of the trailing block (upper triangle)
-    cols = [[] for _ in range(m)]  # rows < i of column k of P, for k >= i
-    # Row k of a and column k of P hold their values for d_i = scale[k].  A
-    # step whose multiplier a[i][k] is zero only rescales them by
-    # d_(i+1) / d_i, so the rescaling is deferred to `current`.
-    scale = [1] * m
-    diag = []
+    rows = [list(row[k:]) for k, row in enumerate(v.entries)]
+    scale = [1] * m  # rows[k] holds its values for d_j = scale[k]
     factor = []  # row i of the block at pivot time, from column i on
-    repairs = []
+    diag, repairs = [], []
     prev = 1
 
-    def exact(xs, d):
-        # floor remainders all take d's sign, so they vanish iff their sum does
-        qs = [x // d for x in xs]
-        if sum(xs) != d * sum(qs):
-            raise InternalInvariantViolation("inexact division in Bareiss elimination")
-        return qs
-
     def current(k, i):
-        if scale[k] != prev:
-            a[k][k:] = exact([prev * x for x in a[k][k:]], scale[k])
-            cols[k] = exact([prev * x for x in cols[k]], scale[k])
-            scale[k] = prev
-        cols[k] += [0] * (i - len(cols[k]))
+        row, s = rows[k], scale[k]
+        if s != prev:
+            row = [prev * x // s for x in row]
+            if prev * sum(rows[k]) != s * sum(row):
+                raise InternalInvariantViolation("inexact division in Bareiss elimination")
+            rows[k], scale[k] = row, prev
+        row += [0] * (m - k + i - len(row))
+        return row
 
     def add_col_row(i, k):
         for r in range(i + 1, k + 1):
             current(r, i)
-        row_k = [a[c][k] for c in range(i, k)] + a[k][k:]
-        new = [x + y for x, y in zip(a[i][i:], row_k)]
+        new = [x + y for x, y in zip(rows[i], [rows[c][k - c] for c in range(i, k)] + rows[k])]
         new[0] += new[k - i]
-        a[i][i:] = new
-        cols[i] = [x + y for x, y in zip(cols[i], cols[k])]
+        rows[i] = new
         repairs.append((i, k))
 
     for i in range(m):
-        current(i, i)
-        if a[i][i] == 0:
-            k = next((k for k in range(i + 1, m) if a[i][k] != 0), None)
+        if current(i, i)[0] == 0:
+            k = next((k for k in range(i + 1, m) if rows[i][k - i] != 0), None)
             if k is None:
                 raise NotUnimodular("degenerate block during diagonalization")
             add_col_row(i, k)
-            if a[i][i] == 0:
+            if rows[i][0] == 0:
                 add_col_row(i, k)
-            if a[i][i] == 0:
+            if rows[i][0] == 0:
                 raise InternalInvariantViolation("pivot repair failed twice")
-        piv, row_i, col_i = a[i][i], a[i], cols[i]
-        factor.append(row_i[i:])
+        row_i, piv = rows[i], rows[i][0]
+        factor.append(row_i[:m - i])
+        suffix = sum(row_i)  # sum(row_i[k - i:])
         for k in range(i + 1, m):
-            f = row_i[k]
+            f = row_i[k - i]
+            suffix -= row_i[k - i - 1]
             if f:
-                current(k, i)
-                a[k][k:] = exact([piv * x - f * y for x, y in zip(a[k][k:], row_i[k:])], prev)
-                cols[k] = exact([piv * x - f * y for x, y in zip(cols[k], col_i)], prev) + [-f]
-                scale[k] = piv
-        cols[i].append(prev)
+                row_k = current(k, i)
+                new = [(piv * x - f * y) // prev for x, y in zip(row_k, row_i[k - i:])]
+                if piv * sum(row_k) - f * suffix != prev * sum(new):
+                    raise InternalInvariantViolation("inexact division in Bareiss elimination")
+                new.append(-f)
+                rows[k], scale[k] = new, piv
+        row_i.append(prev)
         diag.append(prev * piv)
         prev = piv
     v.memo[_FACTOR] = (factor, diag)
-    p = [[col[r] if r < len(col) else 0 for col in cols] for r in range(m)]
+    p = list(zip(*(row[m - k:] + [0] * (m - k - 1) for k, row in enumerate(rows))))
     for i, k in reversed(repairs):
-        p[k] = [x + y for x, y in zip(p[k], p[i])]
-    d = SymIntMatrix.from_rows([[diag[i] if i == j else 0 for j in range(m)] for i in range(m)])
-    return tuple(map(tuple, p)), d
+        p[k] = tuple(map(add, p[k], p[i]))
+    zero = (0,) * m
+    return tuple(p), SymIntMatrix(m, tuple(zero[:i] + (x,) + zero[i + 1:] for i, x in enumerate(diag)))
 
 
 def classify(v: SymIntMatrix) -> FormClass:
@@ -252,9 +252,7 @@ def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIn
     d = [1] + [row[0] for row in rows]
     lam = [[rows[j][k - j] for j in range(k)] for k in range(n)]
 
-    def red(k, l):
-        if 2 * abs(lam[k][l]) <= d[l + 1]:
-            return
+    def red(k, l):  # called only when 2 |lam[k][l]| > d[l + 1]
         q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
         basis[k] = [x - q * y for x, y in zip(basis[k], basis[l])]
         inv[l] = [x + q * y for x, y in zip(inv[l], inv[k])]
@@ -277,13 +275,15 @@ def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIn
 
     k = 1
     while k < n:
-        red(k, k - 1)
+        if 2 * abs(lam[k][k - 1]) > d[k]:
+            red(k, k - 1)
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
             swap(k)
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):
-                red(k, l)
+                if 2 * abs(lam[k][l]) > d[l + 1]:
+                    red(k, l)
             k += 1
     u = transpose(basis)
     reduced = SymIntMatrix.from_rows(congruence(u, v.entries))

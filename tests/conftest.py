@@ -425,6 +425,24 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 4):
     return q
 
 
+def transvections(rng: random.Random, n: int, ops: int, window: int = 0,
+                 shuffle: bool = False):
+    """Unimodular Q from `ops` column additions q_i += +-q_j, each inside a
+    run of `window` consecutive indices when one is given, then a column
+    permutation when `shuffle` is set."""
+    q = mat_identity(n)
+    for _ in range(ops):
+        lo = rng.randrange(n - window + 1) if window else 0
+        i, j = rng.sample(range(lo, lo + (window or n)), 2)
+        s = rng.choice((1, -1))
+        for r in range(n):
+            q[r][i] += s * q[r][j]
+    if shuffle:
+        perm = rng.sample(range(n), n)
+        q = [[row[c] for c in perm] for row in q]
+    return q
+
+
 def random_unimodular_symmetric(rng: random.Random, n: int, steps: int = 4,
                                 definite: bool = False) -> SymIntMatrix:
     """Q^T D Q for random unimodular Q and D of +-1 and hyperbolic blocks."""

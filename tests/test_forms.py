@@ -48,6 +48,7 @@ from conftest import (
     sandwich,
     symmetric_bareiss,
     textbook_lll,
+    transvections,
 )
 
 H = S([[0, 1], [1, 0]])
@@ -85,20 +86,37 @@ class TestDiagonalize:
             diagonalize_over_Q(S([[2]]))
 
 
+MINUS_E8 = [[-x for x in row] for row in E8_MATRIX.rows()]
+
+
 def k3_windowed(seed):
     """-E8 + -E8 + 3H under 5 seeded transvections inside windows of 4 indices."""
     import random
 
-    rng = random.Random(seed)
-    minus_e8 = [[-x for x in row] for row in E8_MATRIX.rows()]
-    q = mat_identity(22)
-    for _ in range(5):
-        lo = rng.randrange(19)
-        i, j = rng.sample(range(lo, lo + 4), 2)
-        s = rng.choice((1, -1))
-        for r in range(22):
-            q[r][i] += s * q[r][j]
-    return sandwich(q, block_diag(minus_e8, minus_e8, *[H.rows()] * 3))
+    q = transvections(random.Random(seed), 22, 5, 4)
+    return sandwich(q, block_diag(MINUS_E8, MINUS_E8, *[H.rows()] * 3))
+
+
+def benchmark_shaped_forms():
+    """Forms of the ranks and shapes the indefinite decisions take: odd forms
+    under rank/2 transvections, E8 + kH and K3 under transvections inside
+    windows of 4 indices, and a dense odd basis of rank 24."""
+    import random
+
+    rng = random.Random(24)
+    odd = lambda p, q: block_diag(*([[1]],) * p, *([[-1]],) * q)  # noqa: E731
+    out = []
+    for n in (16, 20, 24):
+        for p in (n // 2 - 3, n // 2, n // 2 + 2):
+            out.append(sandwich(transvections(rng, n, n // 2, shuffle=True), odd(p, n - p)))
+    for e8s, hs, e8 in ((1, 4, E8_MATRIX.rows()), (1, 4, MINUS_E8), (1, 6, E8_MATRIX.rows()),
+                        (2, 4, MINUS_E8)):
+        b = block_diag(*[e8] * e8s, *[H.rows()] * hs)
+        out += [sandwich(transvections(rng, len(b), len(b) // 4, 4, shuffle=True), b)
+                for _ in range(2)]
+    out += [k3_windowed(seed) for seed in range(3, 9)]
+    out.append(sandwich(transvections(random.Random(1026), 24, 24, 8, shuffle=True), odd(12, 12)))
+    return out
 
 
 class TestAgainstFullColumnElimination:
@@ -119,6 +137,17 @@ class TestAgainstFullColumnElimination:
         assert [list(r) for r in p] == oracle_p
         assert list(d.diagonal()) == diag
         assert v.memo[forms._FACTOR] == (pivot_rows, diag)
+
+    def test_benchmark_shaped_forms(self):
+        repaired = 0
+        for rows in benchmark_shaped_forms():
+            v = S(rows)
+            p, d = diagonalize_over_Q(v)
+            oracle_p, pivot_rows, diag = symmetric_bareiss(rows)
+            assert [list(r) for r in p] == oracle_p
+            assert v.memo[forms._FACTOR] == (pivot_rows, diag)
+            repaired += any(p[r][c] for r in range(v.n) for c in range(r))
+        assert repaired > 0
 
     def test_seeded_forms(self):
         import random
@@ -143,7 +172,8 @@ def hadamard_bits(v: SymIntMatrix) -> int:
 
 
 class TestBoundedGrowth:
-    """The elimination keeps every entry a minor of V (Hadamard bound)."""
+    """The elimination keeps every entry a minor of V (Hadamard bound): D,
+    P and the pivot rows it keeps stay within the bits of two minors."""
 
     @pytest.mark.parametrize("name", ["dense_rank24", "k3_heavy"])
     def test_diagonal_within_hadamard_bound(self, name):
@@ -163,7 +193,9 @@ class TestBoundedGrowth:
         assert sandwich([list(r) for r in p], v.rows()) == d.rows()
         diag = d.diagonal()
         assert sum(x > 0 for x in diag) - sum(x < 0 for x in diag) == signature
-        assert max(abs(x).bit_length() for x in diag) <= hadamard_bits(v)
+        pivot_rows, _ = v.memo[forms._FACTOR]
+        bits = max(abs(x).bit_length() for row in (diag, *p, *pivot_rows) for x in row)
+        assert bits <= hadamard_bits(v)
 
 
 @pytest.fixture
