@@ -5,8 +5,7 @@ Results print as canonical JSON (sorted keys, compact separators, integers
 only): a result record prints as its fields; --json wraps it in a run report
 with input hashes and timing.
 Exit codes: 0 for a completed decision (whatever the verdict), 1 for input
-errors, 2 for internal invariant violations, the enumeration cap, or a
-definite form deeper than Python's recursion limit.
+errors, 2 for internal invariant violations or the enumeration cap.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ def _canonical(obj) -> str:
 def _read_bytes(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -62,7 +61,7 @@ def _load_link(path: str):
 def _load_matrix(path: str) -> SymIntMatrix:
     try:
         data = json.loads(_read_bytes(path).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too many digits
         raise MalformedInput(f"{path}: not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict) or "entries" not in data:
         raise MalformedInput(f'{path}: expected an object with "entries"')

@@ -255,7 +255,7 @@ def parse_framed_link(text: bytes) -> FramedLink:
     """
     try:
         data = json.loads(text.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too many digits
         raise MalformedInput(f"not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedInput("top-level JSON value must be an object")

@@ -59,5 +59,4 @@ class InternalInvariantViolation(KirbyError):
 
 
 class ResourceLimitExceeded(KirbyError):
-    """KIRBY4_MAX_ENUM cap hit comparing definite forms, or a definite form
-    whose rank passes Python's recursion limit (about 1,000)."""
+    """KIRBY4_MAX_ENUM cap hit comparing definite forms."""

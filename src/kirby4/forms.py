@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass
 from operator import add, mul, neg
 from typing import Optional
@@ -324,41 +323,48 @@ def short_vectors(v: SymIntMatrix, r: int) -> list[tuple[int, ...]]:
     top = scale * r
     reps: list[tuple[tuple[int, ...], int]] = []
     x = [0] * n
-
-    def descend(j: int, rem: int, zero: bool):
-        # zero: x[j+1:] is all zero, so x[j] starts at 0 (sign symmetry)
+    # One entry per open level j >= 1: (x_j values left, bound left, zero, pivot, centre);
+    # zero: x[j+1:] is all zero, so x[j] starts at 0 (sign symmetry).
+    stack: list = []
+    j, rem, zero = n - 1, top, True
+    while True:
         row = rows[j]
         a = row[0]
         c = sum(map(mul, row[1:], x[j + 1:]))
         s = math.isqrt(rem // weight[j])
-        for xj in range(0 if zero else -((s + c) // a), (s - c) // a + 1):
-            x[j] = xj
-            t = a * xj + c
-            if j:
-                descend(j - 1, rem - weight[j] * t * t, zero and not xj)
-            elif xj or not zero:
-                q, qr = divmod(top - rem + weight[0] * t * t, scale)
-                if qr:
-                    raise InternalInvariantViolation("enumerated norm is not an integer")
-                t = tuple(x)
-                reps.append((t if _canonical(t) else tuple(map(neg, t)), q))
-                if cap is not None and 2 * len(reps) > cap:
-                    raise ResourceLimitExceeded(
-                        f"enumeration candidates exceed KIRBY4_MAX_ENUM={cap}")
-        x[j] = 0
-
-    try:
-        descend(n - 1, top, True)
-    except RecursionError as exc:  # descend recurses once per rank
-        raise _too_deep(n) from exc
+        xs = range(0 if zero else -((s + c) // a), (s - c) // a + 1)
+        if j:
+            stack.append((iter(xs), rem, zero, a, c))
+        else:
+            for xj in xs:
+                if xj or not zero:
+                    x[0] = xj
+                    t = a * xj + c
+                    q, qr = divmod(top - rem + weight[0] * t * t, scale)
+                    if qr:
+                        raise InternalInvariantViolation("enumerated norm is not an integer")
+                    t = tuple(x)
+                    reps.append((t if _canonical(t) else tuple(map(neg, t)), q))
+                    if cap is not None and 2 * len(reps) > cap:
+                        raise ResourceLimitExceeded(
+                            f"enumeration candidates exceed KIRBY4_MAX_ENUM={cap}")
+            x[0] = 0
+        while stack:  # the deepest open level with an x_j left; the levels done reset to 0
+            j = n - len(stack)
+            it, rem, zero, a, c = stack[-1]
+            xj = next(it, None)
+            if xj is not None:
+                break
+            x[j] = 0
+            stack.pop()
+        else:
+            break
+        x[j] = xj
+        t = a * xj + c
+        j, rem, zero = j - 1, rem - weight[j] * t * t, zero and not xj
     reps.sort()
     v.memo[_NORMS, r] = [q for _, q in reps]
     return [y for t, _ in reps for y in (t, tuple(map(neg, t)))]
-
-
-def _too_deep(n: int) -> ResourceLimitExceeded:
-    return ResourceLimitExceeded(
-        f"rank {n} passes Python's recursion limit ({sys.getrecursionlimit()})")
 
 
 def _canonical(t: tuple[int, ...]) -> bool:
@@ -389,8 +395,6 @@ def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
     n = v.n
     if n == 0:
         return ()
-    if n >= sys.getrecursionlimit():  # `descend` and `place` recurse once per rank
-        raise _too_deep(n)
     u_v, _, v2 = lll_reduce(v)
     _, u_w_inv, w2 = lll_reduce(w)
     r = max(w2.diagonal())
@@ -410,29 +414,29 @@ def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
     cols: list[int] = []
     cap = _enum_cap()
     placed = 0
-
-    def place(i: int, packed: list[int]) -> bool:
-        nonlocal placed
+    # One entry per open column i: (its candidates left, packed images of columns < i).
+    stack = [(iter(by_pos[0]), [0] * n)]
+    while stack:
+        i = len(stack) - 1
+        it, packed = stack[-1]
         target = targets[i]
-        for idx in by_pos[i]:
-            c = cands[idx]
-            if sum(map(mul, c, packed)) != target:
-                continue
-            placed += 1
-            if cap is not None and placed > cap:
-                raise ResourceLimitExceeded(f"search placements exceed KIRBY4_MAX_ENUM={cap}")
-            cols.append(idx)
-            image = mat_vec(v2.entries, c)
-            if len(cols) == n or place(i + 1, [p + (x << bits * i) for p, x in zip(packed, image)]):
-                return True
-            cols.pop()
-        return False
-
-    try:
-        found = place(0, [0] * n)
-    except RecursionError as exc:  # place recurses once per rank
-        raise _too_deep(n) from exc
-    if not found:
+        for idx in it:
+            if sum(map(mul, cands[idx], packed)) == target:
+                break
+        else:  # column i has no candidate left: take back column i - 1
+            stack.pop()
+            if cols:
+                cols.pop()
+            continue
+        placed += 1
+        if cap is not None and placed > cap:
+            raise ResourceLimitExceeded(f"search placements exceed KIRBY4_MAX_ENUM={cap}")
+        cols.append(idx)
+        if len(cols) == n:
+            break
+        image = mat_vec(v2.entries, cands[idx])
+        stack.append((iter(by_pos[i + 1]), [p + (x << bits * i) for p, x in zip(packed, image)]))
+    else:
         return None
     a2 = [[cands[idx][row] for idx in cols] for row in range(n)]
     a = mat_mul(mat_mul(u_v, a2), u_w_inv)
@@ -469,7 +473,7 @@ def _negated(v: SymIntMatrix) -> SymIntMatrix:
     No pivot of a definite form needs repair, so pivot row j holds (j+1) x (j+1)
     minors and D_jj = d_j d_(j+1); negating V multiplies row j by (-1)^(j+1), D by -1.
     """
-    out = v.neg()
+    out = SymIntMatrix(v.n, tuple(tuple(map(neg, r)) for r in v.entries))
     c = classify(v)
     out.memo[FormClass] = FormClass(c.rank, -c.signature, c.parity, POSITIVE)
     rows, diag = v.memo[_FACTOR]

@@ -23,7 +23,7 @@ class SymIntMatrix:
     `forms.diagonalize_over_Q`'s pivot rows, `forms.short_vectors`' norms) are
     computed at most once per instance.  They live on the instance alone: an
     equal matrix built separately computes them again, and neither takes part
-    in equality, hashing or repr.  `neg()` hands its determinant on.
+    in equality, hashing or repr.
     """
 
     n: int
@@ -53,12 +53,6 @@ class SymIntMatrix:
 
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
-
-    def neg(self) -> "SymIntMatrix":
-        """-V, carrying det(-V) = (-1)^n det(V) over instead of eliminating again."""
-        out = SymIntMatrix(self.n, tuple(tuple(-x for x in r) for r in self.entries))
-        out.__dict__["det"] = (-1) ** self.n * self.det
-        return out
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(self.n))

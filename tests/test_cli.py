@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,30 @@ def test_batch_unreadable_is_input_error(capsys, tmp_path, content):
         pairs.write_bytes(content)
     code = run(["homeo", "--batch", str(pairs)])
     assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_batch_path_with_nul_is_input_error(fx, capsys, tmp_path):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(f"{fx('cp2')}\x00\t{fx('cp2')}\n")
+    assert run(["homeo", "--batch", str(pairs)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+DEEP = 100_000  # past the JSON decoder's nesting limit on every supported Python
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+
+
+@pytest.mark.parametrize("command,key", [("classify", "entries"), ("ks", "pd")])
+@pytest.mark.parametrize("value", [
+    "[" * DEEP + "]" * DEEP,
+    pytest.param("[[" + "1" * (DIGIT_LIMIT + 1) + "]]",
+                 marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer string limit")),
+], ids=["nested_too_deep", "integer_too_long"])
+def test_json_the_decoder_refuses_is_input_error(capsys, tmp_path, command, key, value):
+    path = tmp_path / "refused.json"
+    path.write_text(f'{{"{key}": {value}}}')
+    assert run([command, str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -26,6 +27,7 @@ from kirby4.fixtures import E8_MATRIX, e8_link
 from conftest import S, pd_face_count, pd_piece_count
 
 HOPF = [[1, 3, 2, 4], [3, 1, 4, 2]]
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
 
 
 def encode(pd, framings, unknots=None, **extra):
@@ -59,6 +61,15 @@ class TestParse:
     def test_malformed_json(self):
         with pytest.raises(MalformedInput):
             parse_framed_link(b"{not json")
+
+    @pytest.mark.parametrize("value", [
+        b"[" * 100_000 + b"]" * 100_000,
+        pytest.param(b"[[" + b"1" * (DIGIT_LIMIT + 1) + b"]]",
+                     marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer string limit")),
+    ], ids=["nested_too_deep", "integer_too_long"])
+    def test_json_the_decoder_refuses(self, value):
+        with pytest.raises(MalformedInput):
+            parse_framed_link(b'{"pd": ' + value + b', "framings": []}')
 
     def test_malformed_schema(self):
         with pytest.raises(MalformedInput):
