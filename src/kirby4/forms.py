@@ -37,7 +37,6 @@ from .matrices import (
     congruence,
     identity,
     mat_mul,
-    mat_vec,
     transpose,
 )
 
@@ -238,8 +237,12 @@ def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIn
     definite form needs no pivot repair, so a_jj = d[j+1] and a_jk =
     lam[k][j], and swaps keep every lam current, so d and lam decide every
     step.  Returns (U, U^-1, U^T V U) with U unimodular; the columns of U
-    are the reduced basis.  The reduced form is computed once, as U^T V U;
-    it takes V's class, and its pivot rows from the final d and lam.
+    are the reduced basis.  The reduced form takes V's class, and its pivot
+    rows a_j (a_jj = d[j+1], a_jk = lam[k][j]) and D_jj = d[j] d[j+1] from
+    the final d and lam; its entries are read off them too, as
+    G_kl = sum_(j <= k, l) a_jk a_jl / D_jj over L = lcm(D_jj), skipping
+    the j with lam[k][j] = 0.  A division that leaves a remainder raises
+    InternalInvariantViolation.
     """
     fc = classify(v)
     if fc.definiteness != POSITIVE:
@@ -284,87 +287,113 @@ def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIn
                 if 2 * abs(lam[k][l]) > d[l + 1]:
                     red(k, l)
             k += 1
-    u = transpose(basis)
-    reduced = SymIntMatrix.from_rows(congruence(u, v.entries))
+    factor = [[d[j + 1]] + [lam[k][j] for k in range(j + 1, n)] for j in range(n)]
+    diag = [d[j] * d[j + 1] for j in range(n)]
+    scale = math.lcm(*diag)
+    weight = [scale // p for p in diag]
+    padded = [[0] * j + row for j, row in enumerate(factor)]
+    # L G = A^T diag(L / D_jj) A, and mat_mul skips the zero a_jk
+    scaled = mat_mul([list(map(mul, col, weight)) for col in transpose(padded)], padded)
+    gram = [[s // scale for s in row] for row in scaled]
+    # floor remainders are >= 0, so a row's vanish iff their sum does
+    if any(scale * sum(row) != sum(srow) for row, srow in zip(gram, scaled)):
+        raise InternalInvariantViolation("reduced Gram matrix is not integral")
+    reduced = SymIntMatrix.from_rows(gram)
     reduced.memo[FormClass] = fc
-    reduced.memo[_FACTOR] = ([[d[j + 1]] + [lam[k][j] for k in range(j + 1, n)] for j in range(n)],
-                             [d[j] * d[j + 1] for j in range(n)])
-    return u, inv, reduced
+    reduced.memo[_FACTOR] = (factor, diag)
+    return transpose(basis), inv, reduced
 
 
 def short_vectors(v: SymIntMatrix, r: int) -> list[tuple[int, ...]]:
     """All nonzero integer x with 1 <= x^T V x <= r, in canonical order.
+
+    Canonical order: representatives with first nonzero entry positive are
+    sorted lexicographically and each is immediately followed by its
+    negation.  `congruent_definite` enumerates the LLL-reduced forms, so its
+    witness is the first one in the canonical order of the reduced basis.
+    The vectors come from `_walk`, which raises ResourceLimitExceeded as
+    soon as the count of vectors found passes KIRBY4_MAX_ENUM;
+    `v.memo[_NORMS, r]` keeps their norms in the order of out[::2].
+    """
+    reps = _walk(v, r, True)
+    reps.sort()
+    v.memo[_NORMS, r] = [q for _, _, q in reps]
+    return [y for t, nt, _ in reps for y in (t, nt)]
+
+
+def _walk(v: SymIntMatrix, r: int, keep: bool) -> list:
+    """One entry per +-pair {x, -x} with 1 <= x^T V x <= r, in the order found:
+    (x, -x, norm) with x's first nonzero entry positive if `keep`, else the norm.
 
     Fincke-Pohst enumeration in integers only.  The factor is the pivot rows
     that `classify` left in V's memo (read off the reduction for a form
     `lll_reduce` returned, carried over for -V): with a_j the row of pivot j
     and D_jj its diagonal entry, x^T V x = sum_j (a_j . x)^2 / D_jj, so after
     scaling by L = lcm(D_jj) each level needs one isqrt and integer bounds.
-    Only x whose last nonzero entry is positive are visited; -x follows.
-
-    Canonical order: representatives with first nonzero entry positive are
-    sorted lexicographically and each is immediately followed by its
-    negation.  `congruent_definite` enumerates the LLL-reduced forms, so its
-    witness is the first one in the canonical order of the reduced basis.
-    Raises ResourceLimitExceeded as soon as the count of vectors found
-    passes KIRBY4_MAX_ENUM.  The leaf reads each norm off the remaining
-    bound; `v.memo[_NORMS, r]` keeps them in the order of out[::2].
+    Only x whose last nonzero entry is positive are visited.  Level j keeps
+    x_j, its last value hi, its centre sum_(k>j) a_jk x_k and the bound left
+    in flat lists; nz, the highest level above j with x nonzero (-1 if none),
+    ends the centre's sum and starts x_j at 0 while x[j+1:] is zero.  The leaf
+    reads each norm off the remaining bound and checks that it is an integer.
+    Raises ResourceLimitExceeded as soon as the count of vectors found passes
+    KIRBY4_MAX_ENUM.
     """
     if classify(v).definiteness != POSITIVE:
         raise NotPositiveDefinite("enumeration only applies to positive definite forms")
     cap = _enum_cap()
     n = v.n
+    out: list = []
     if n == 0 or r < 1:
-        v.memo[_NORMS, r] = []
-        return []
+        return out
     rows, pivots = v.memo[_FACTOR]
     scale = math.lcm(*pivots)
     weight = [scale // p for p in pivots]
+    heads = [row[0] for row in rows]
+    tails = [row[1:] for row in rows]
     top = scale * r
-    reps: list[tuple[tuple[int, ...], int]] = []
-    x = [0] * n
-    # One entry per open level j >= 1: (x_j values left, bound left, zero, pivot, centre);
-    # zero: x[j+1:] is all zero, so x[j] starts at 0 (sign symmetry).
-    stack: list = []
-    j, rem, zero = n - 1, top, True
+    x, hi, ctr, rem = [0] * n, [0] * n, [0] * n, [0] * n
+    j, b, nz = n - 1, top, -1  # enter level j with bound b left
     while True:
-        row = rows[j]
-        a = row[0]
-        c = sum(map(mul, row[1:], x[j + 1:]))
-        s = math.isqrt(rem // weight[j])
-        xs = range(0 if zero else -((s + c) // a), (s - c) // a + 1)
-        if j:
-            stack.append((iter(xs), rem, zero, a, c))
+        a = heads[j]
+        c = sum(map(mul, tails[j], x[j + 1:nz + 1])) if nz >= 0 else 0
+        s = math.isqrt(b // weight[j])
+        last = (s - c) // a
+        # sign symmetry: x_j >= 0 while x[j+1:] is zero; and x = 0 is no leaf
+        lo = -((s + c) // a) if nz >= 0 else 0 if j else 1
+        if j and lo <= last:
+            x[j], hi[j], ctr[j], rem[j] = lo, last, c, b
         else:
-            for xj in xs:
-                if xj or not zero:
-                    x[0] = xj
-                    t = a * xj + c
-                    q, qr = divmod(top - rem + weight[0] * t * t, scale)
+            if not j:
+                w, used = weight[0], top - b
+                for x0 in range(lo, last + 1):
+                    t = a * x0 + c
+                    q, qr = divmod(used + w * t * t, scale)
                     if qr:
                         raise InternalInvariantViolation("enumerated norm is not an integer")
-                    t = tuple(x)
-                    reps.append((t if _canonical(t) else tuple(map(neg, t)), q))
-                    if cap is not None and 2 * len(reps) > cap:
+                    if keep:
+                        x[0] = x0
+                        y = tuple(x)
+                        z = tuple(map(neg, y))
+                        out.append((y, z, q) if _canonical(y) else (z, y, q))
+                    else:
+                        out.append(q)
+                    if cap is not None and 2 * len(out) > cap:
                         raise ResourceLimitExceeded(
                             f"enumeration candidates exceed KIRBY4_MAX_ENUM={cap}")
-            x[0] = 0
-        while stack:  # the deepest open level with an x_j left; the levels done reset to 0
-            j = n - len(stack)
-            it, rem, zero, a, c = stack[-1]
-            xj = next(it, None)
-            if xj is not None:
-                break
-            x[j] = 0
-            stack.pop()
-        else:
-            break
-        x[j] = xj
-        t = a * xj + c
-        j, rem, zero = j - 1, rem - weight[j] * t * t, zero and not xj
-    reps.sort()
-    v.memo[_NORMS, r] = [q for _, q in reps]
-    return [y for t, _ in reps for y in (t, tuple(map(neg, t)))]
+            while True:  # step back up to the deepest level with an x_j left
+                j += 1
+                if j == n:
+                    return out
+                if nz == j:
+                    nz = -1
+                x[j] += 1
+                if x[j] <= hi[j]:
+                    break
+        t = heads[j] * x[j] + ctr[j]
+        b = rem[j] - weight[j] * t * t
+        if nz < 0 and x[j]:
+            nz = j
+        j -= 1
 
 
 def _canonical(t: tuple[int, ...]) -> bool:
@@ -377,16 +406,22 @@ def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
     Both forms are first LLL-reduced to V' = U_V^T V U_V and W' = U_W^T W U_W.
     Candidate columns are the short vectors x of V' with x^T V' x <= r, the
     maximum diagonal entry of W'.  If the norms of V''s and W''s short
-    vectors up to r differ as multisets, the forms are not congruent.
-    Otherwise column i must hit the norm W'[i][i] exactly and match the Gram
-    pairings with all previously placed columns.  The first witness A' in
-    the canonical order of V''s short vectors gives A = U_V A' U_W^-1; None
-    if there is none.  Every column placed counts against KIRBY4_MAX_ENUM.
+    vectors up to r differ as multisets, the forms are not congruent; W''s
+    are only counted (`_walk` without its vectors).  Otherwise column i must
+    hit the norm W'[i][i] exactly and match the Gram pairings with all
+    previously placed columns.  The first witness A' in the canonical order
+    of V''s short vectors gives A = U_V A' U_W^-1; None if there is none.
+    Every column placed counts against KIRBY4_MAX_ENUM.
 
     A candidate c is tested against all placed columns b_j at once: norms <= r
     bound |c^T V' b_j| and |W'_ij| by r (Cauchy-Schwarz), so with digits at
     bits = r.bit_length() + 2, c . sum_j (V' b_j) 2^(bits j) equals
-    sum_j W'_ij 2^(bits j) exactly when every pairing matches.
+    sum_j W'_ij 2^(bits j) exactly when every pairing matches.  One dot
+    product decides c and -c, which come next to each other in the order:
+    c fits if it equals the target, -c if it equals minus the target, and
+    when the target is 0 both do, so -c is tried once c is taken back.  A
+    placed column's packed image adds c_t V'[t] 2^(bits i) for the t with
+    c_t != 0.
     """
     if classify(v).definiteness != POSITIVE or classify(w).definiteness != POSITIVE:
         raise NotPositiveDefinite("both forms must be positive definite")
@@ -399,31 +434,38 @@ def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
     _, u_w_inv, w2 = lll_reduce(w)
     r = max(w2.diagonal())
     cands = short_vectors(v2, r)
-    short_vectors(w2, r)  # for the norms it leaves in w2.memo
     norms = v2.memo[_NORMS, r]
-    if sorted(norms) != sorted(w2.memo[_NORMS, r]):
+    if sorted(norms) != sorted(_walk(w2, r, False)):
         return None
     by_norm: dict[int, list[int]] = {}
     for k, q in enumerate(norms):
-        by_norm.setdefault(q, []).extend((2 * k, 2 * k + 1))
+        by_norm.setdefault(q, []).append(k)
     by_pos = [by_norm.get(w2[i][i], []) for i in range(n)]
-    # -A' is a witness whenever A' is, so column 0 takes representatives only.
-    by_pos[0] = by_pos[0][::2]
     bits = r.bit_length() + 2
     targets = [sum(w2[i][j] << bits * j for j in range(i)) for i in range(n)]
+
+    def fitting(i, packed):  # column i's candidates that fit, in canonical order
+        target = targets[i]
+        for k in by_pos[i]:
+            p = sum(map(mul, cands[2 * k], packed))
+            if p == target:
+                yield 2 * k
+                # -c fits too; column 0 takes c only, as -A' is a witness whenever A' is
+                if i and not target:
+                    yield 2 * k + 1
+            elif p == -target:
+                yield 2 * k + 1
+
     cols: list[int] = []
     cap = _enum_cap()
     placed = 0
-    # One entry per open column i: (its candidates left, packed images of columns < i).
-    stack = [(iter(by_pos[0]), [0] * n)]
+    # One entry per open column i: (its fitting candidates left, packed images of columns < i).
+    stack = [(fitting(0, [0] * n), [0] * n)]
     while stack:
         i = len(stack) - 1
-        it, packed = stack[-1]
-        target = targets[i]
-        for idx in it:
-            if sum(map(mul, cands[idx], packed)) == target:
-                break
-        else:  # column i has no candidate left: take back column i - 1
+        gen, packed = stack[-1]
+        idx = next(gen, None)
+        if idx is None:  # column i has no candidate left: take back column i - 1
             stack.pop()
             if cols:
                 cols.pop()
@@ -434,8 +476,11 @@ def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
         cols.append(idx)
         if len(cols) == n:
             break
-        image = mat_vec(v2.entries, cands[idx])
-        stack.append((iter(by_pos[i + 1]), [p + (x << bits * i) for p, x in zip(packed, image)]))
+        for row, ct in zip(v2.entries, cands[idx]):  # packed + (V' c) 2^(bits i), by c's nonzeros
+            if ct:
+                f = ct << bits * i
+                packed = [p + f * y for p, y in zip(packed, row)]
+        stack.append((fitting(i + 1, packed), packed))
     else:
         return None
     a2 = [[cands[idx][row] for idx in cols] for row in range(n)]

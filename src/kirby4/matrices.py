@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import index, mul
+from operator import index
 
 from .errors import DimensionMismatch, MalformedInput
 
@@ -84,12 +84,6 @@ def mat_mul(a, b) -> list[list[int]]:
                 acc = [s + x * y for s, y in zip(acc, brow)]
         out.append(acc)
     return out
-
-
-def mat_vec(a, v) -> list[int]:
-    if a and len(a[0]) != len(v):
-        raise DimensionMismatch("matrix-vector shape mismatch")
-    return [sum(map(mul, row, v)) for row in a]
 
 
 def congruence(p, v) -> list[list[int]]:

@@ -378,11 +378,52 @@ def symmetric_bareiss(rows):
     return [list(r) for r in zip(*cols)], pivot_rows, diag
 
 
-def first_witness(v_rows, w_rows, cands):
+def pivot_row_minors(rows, samples):
+    """{(i, k): the minor that pivot row i of the symmetric fraction-free
+    elimination should hold at column k >= i}, for each (i, k) in `samples`.
+
+    That minor is det M[0..i; 0..i-1, k] of M = E^T V E, where E is the
+    congruence of the pivot repairs made up to step i, by the rule of
+    `symmetric_bareiss` (column and row i += column and row k for the first
+    k > i pairing nonzero with i, at most twice).  The zero pivots are found
+    by an ordinary elimination over exact rationals, which the repairs
+    commute with because they touch only the trailing indices; each minor is
+    a `fraction_det` of M."""
+    m = len(rows)
+    s = [[Fraction(x) for x in row] for row in rows]
+    e = mat_identity(m)  # columns of E
+    wanted: dict[int, list[int]] = {}
+    for i, k in samples:
+        wanted.setdefault(i, []).append(k)
+    out = {}
+    for i in range(m):
+        k = next((k for k in range(i + 1, m) if s[i][k]), None)
+        for _ in range(2):
+            if s[i][i] == 0:
+                for c in range(m):
+                    s[i][c] += s[k][c]
+                for r in range(m):
+                    s[r][i] += s[r][k]
+                for r in range(m):
+                    e[r][i] += e[r][k]
+        if i in wanted:
+            mm = sandwich(e, rows)
+            for k in wanted[i]:
+                cols = list(range(i)) + [k]
+                out[i, k] = fraction_det([[mm[r][c] for c in cols] for r in range(i + 1)])
+        for r in range(i + 1, m):
+            f = s[r][i] / s[i][i]
+            if f:
+                s[r] = [x - f * y for x, y in zip(s[r], s[i])]
+    return out
+
+
+def first_witness(v_rows, w_rows, cands, placed=None):
     """The first A (as a list of columns) with A^T V A = W whose columns are
     taken from `cands` in order, column 0 from the even positions only,
     found by plain backtracking over every pairing with the placed columns;
-    None if there is none."""
+    None if there is none.  Each column placed, taken back or not, is
+    appended to the list `placed` when one is given."""
     n = len(w_rows)
     images = [[sum(a * x for a, x in zip(row, c)) for row in v_rows] for c in cands]
 
@@ -398,6 +439,8 @@ def first_witness(v_rows, w_rows, cands):
                 continue
             if pair(pos, c) == w_rows[i][i] and all(
                     pair(pos, b) == w_rows[i][j] for j, b in enumerate(chosen)):
+                if placed is not None:
+                    placed.append(c)
                 found = place(chosen + [c])
                 if found:
                     return found

@@ -330,6 +330,16 @@ def test_enum_cap_exits_2(fx, capsys, monkeypatch, tmp_path):
     assert run(["form-compare", str(a), str(a)]) == 0
 
 
+@pytest.mark.parametrize("cap,code", [("240", 0), ("239", 2)])
+def test_enum_cap_boundary_e8(fx, capsys, monkeypatch, cap, code):
+    # E8 has 240 roots and both linking forms reduce to root bases, so each
+    # enumeration finds exactly 240 vectors: a cap of 240 decides, 239 stops.
+    monkeypatch.setenv("KIRBY4_MAX_ENUM", cap)
+    assert run(["homeo", fx("e8"), fx("e8")]) == code
+    if code:
+        assert f"enumeration candidates exceed KIRBY4_MAX_ENUM={cap}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value,code", [("-1", 1), ("two", 1), ("", 0), ("0", 2)])
 def test_enum_cap_values(capsys, monkeypatch, tmp_path, value, code):
     a = tmp_path / "i2.json"

@@ -8,6 +8,7 @@ import pytest
 
 from kirby4 import forms
 from kirby4.errors import (
+    InternalInvariantViolation,
     NotIndefinite,
     NotPositiveDefinite,
     NotUnimodular,
@@ -43,6 +44,7 @@ from conftest import (
     lll_conditions_hold,
     mat_identity,
     mul,
+    pivot_row_minors,
     random_unimodular,
     random_unimodular_symmetric,
     sandwich,
@@ -196,6 +198,12 @@ class TestBoundedGrowth:
         pivot_rows, _ = v.memo[forms._FACTOR]
         bits = max(abs(x).bit_length() for row in (diag, *p, *pivot_rows) for x in row)
         assert bits <= hadamard_bits(v)
+        # The exact size: eight sampled pivot-row entries and the largest one
+        # equal the minors of the repaired form they stand for.
+        entries = [(abs(x), i, i + c) for i, row in enumerate(pivot_rows) for c, x in enumerate(row)]
+        samples = random.Random(2).sample(entries, 8) + [max(entries)]
+        minors = pivot_row_minors(v.rows(), [(i, k) for _, i, k in samples])
+        assert all(pivot_rows[i][k - i] == minors[i, k] for _, i, k in samples)
 
 
 @pytest.fixture
@@ -387,6 +395,25 @@ class TestShortVectors:
             v, r = S(sandwich(p, dual)), case - 26
         assert short_vectors(v, r) == box_short_vectors(v, r)
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_walk_matches_box_oracle(self, seed):
+        # Both modes of the walk on a seeded form, on its LLL reduction (pivot
+        # rows read off d and lambda) and on -(-V) (pivot rows carried over).
+        import random
+
+        rng = random.Random(seed)
+        n, r = 1 + seed % 6, 1 + seed % 4
+        raw = random_unimodular_symmetric(rng, n, steps=2 + seed % 5, definite=True)
+        _, _, reduced = lll_reduce(raw)
+        carried = forms._negated(S([[-x for x in row] for row in raw.entries]))
+        for v in (raw, reduced, carried):
+            expected = box_short_vectors(v, r)
+            assert short_vectors(v, r) == expected
+            norms = v.memo[forms._NORMS, r]
+            assert norms == [sum(x[i] * v[i][j] * x[j] for i in range(n) for j in range(n))
+                             for x in expected[::2]]
+            assert sorted(forms._walk(v, r, False)) == sorted(norms)
+
 
 def seeded_conjugate(base, seed):
     import random
@@ -417,6 +444,17 @@ class TestLLL:
             fresh = S(reduced.rows())
             diagonalize_over_Q(fresh)
             assert reduced.memo[forms._FACTOR] == fresh.memo[forms._FACTOR]
+
+    def test_gram_off_the_factor_must_be_integral(self):
+        # The reduced form is read off d and lambda; pivot rows that are not
+        # V's own (here a_12 off by one) leave a remainder, which raises.
+        v = S(E8_MATRIX.rows())
+        classify(v)
+        rows, diag = v.memo[forms._FACTOR]
+        v.memo[forms._FACTOR] = ([row[:] for row in rows], diag)
+        v.memo[forms._FACTOR][0][1][1] += 1
+        with pytest.raises(InternalInvariantViolation, match="not integral"):
+            lll_reduce(v)
 
 
 NEGATIVE_BASES = {
@@ -499,10 +537,17 @@ class TestCongruentDefinite:
 
         from kirby4 import forms
 
+        # Every enumeration, V''s (through short_vectors) and W''s (norms only),
+        # runs _walk, which returns one entry per +-pair.
         sizes = []
-        enumerate_ = forms.short_vectors
-        monkeypatch.setattr(forms, "short_vectors",
-                            lambda v, r: sizes.append(len(out := enumerate_(v, r))) or out)
+        walk = forms._walk
+
+        def counted(v, r, keep):
+            out = walk(v, r, keep)
+            sizes.append((keep, 2 * len(out)))
+            return out
+
+        monkeypatch.setattr(forms, "_walk", counted)
         q = random_unimodular(random.Random(15), 8, steps=5)
         conj = S(sandwich(q, E8_MATRIX.rows()))
         assert max(conj.diagonal()) == 12
@@ -512,8 +557,9 @@ class TestCongruentDefinite:
             a = [list(r) for r in witness]
             assert sandwich(a, v.rows()) == w.rows()
             assert abs(fraction_det(a)) == 1
-        # both forms reduce to a basis of roots: only the 240 roots are enumerated
-        assert sizes == [240] * 4
+        # both forms reduce to a basis of roots: each of the four enumerations
+        # finds the 240 roots, never the 117,360 vectors of norm <= 12
+        assert sizes == [(True, 240), (False, 240)] * 2
 
 
 GOLDEN_BASES = {"E8": E8_MATRIX.rows(), "I12": mat_identity(12),
@@ -572,6 +618,36 @@ class TestSearchBudget:
         # With E8+E8 on the right, r = 2 and both forms have 480 roots: the
         # norm counts agree, and only the search's own budget stops it.
         assert "search" in outcomes[1]
+
+    @pytest.fixture(scope="class")
+    def backtracking_pair(self):
+        """E8+I2 and a conjugate whose search backtracks: it places 500 columns
+        for rank 10, more than the 248 vectors each enumeration finds, so the
+        cap meets the placements first.  The count is plain backtracking's."""
+        import random
+
+        base = block_diag(E8_MATRIX.rows(), mat_identity(2))
+        conj = sandwich(random_unimodular(random.Random(12), 10, steps=10), base)
+        _, reduced_v = textbook_lll(base)
+        _, reduced_w = textbook_lll(conj)
+        # the box oracle takes seconds at rank 10; TestShortVectors holds the two equal
+        cands = short_vectors(S(reduced_v), max(reduced_w[i][i] for i in range(10)))
+        placed = []
+        assert first_witness(reduced_v, reduced_w, cands, placed) is not None
+        assert (len(cands), len(placed)) == (248, 500)
+        return base, conj, len(placed)
+
+    def test_cap_at_the_placement_count_decides(self, monkeypatch, backtracking_pair):
+        base, conj, placements = backtracking_pair
+        monkeypatch.setenv("KIRBY4_MAX_ENUM", str(placements))
+        ok, witness = congruent_with_witness(S(base), S(conj))
+        assert ok and sandwich([list(r) for r in witness], base) == conj
+
+    def test_cap_one_below_the_placement_count_stops(self, monkeypatch, backtracking_pair):
+        base, conj, placements = backtracking_pair
+        monkeypatch.setenv("KIRBY4_MAX_ENUM", str(placements - 1))
+        with pytest.raises(ResourceLimitExceeded, match="search placements exceed"):
+            congruent_with_witness(S(base), S(conj))
 
     def test_search_cap_exits_2(self, monkeypatch, tmp_path, capsys):
         from kirby4.cli import run
