@@ -4,7 +4,8 @@ Two closed, simply connected, topological 4-manifolds are
 orientation-preserving homeomorphic exactly when their Kirby-Siebenmann
 invariants agree and their intersection forms are congruent over the
 integers.  The unoriented question reduces to running the oriented test
-against the second diagram and against its mirror.
+against the second diagram and, when ks and the signature allow a match,
+against its mirror.
 """
 
 from __future__ import annotations
@@ -75,15 +76,17 @@ def homeomorphic_unoriented(
     """Decide homeomorphism disregarding orientations.
 
     Runs the oriented test as given, then against the mirror of the second
-    diagram, analysing the first diagram once for both passes; a match
-    either way means homeomorphic, and the reason records which pass
-    succeeded.  When the first pass ends in KsDiffer the mirror pass is
-    skipped: mirroring keeps ks, so it would end the same way.
+    diagram when that can match, analysing the first diagram once for both
+    passes; the reason records which pass matched.  Mirroring keeps ks and
+    negates sigma, so the mirror pass runs only when ks agree and
+    sigma(left) = -sigma(right) != 0; at sigma = 0, -N matches exactly when
+    N does.  With smooth=True it runs whenever the first pass fails.
     """
     li = _analyse(left, smooth)
     first = _compare(li, right, smooth)
-    # ks(-M) = ks(M): after KsDiffer the mirror cannot match
-    if first.homeomorphic or first.reason == KS_DIFFER:
+    ri = first.right  # None when smooth
+    if first.homeomorphic or ri is not None and not (
+            li.ks == ri.ks and 0 != li.signature == -ri.signature):
         return replace(first, oriented=False)
     second = _compare(li, mirror(right), smooth)
     if second.homeomorphic:

@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from .classify import Verdict, homeomorphic_oriented, homeomorphic_unoriented
-from .diagram import _is_int, linking_matrix, parse_framed_link
+from .diagram import linking_matrix, parse_framed_link
 from .errors import (
     InputError,
     InternalInvariantViolation,
@@ -71,7 +71,7 @@ def _load_matrix(path: str) -> SymIntMatrix:
     ):
         raise MalformedInput(f'{path}: "entries" must be a grid of integers')
     m = SymIntMatrix.from_rows(entries)
-    if "n" in data and (not _is_int(data["n"]) or data["n"] != m.n):
+    if "n" in data and (type(data["n"]) is not int or data["n"] != m.n):
         raise MalformedInput(f'{path}: "n"={data["n"]} does not match {m.n} rows')
     return m
 

@@ -7,11 +7,13 @@ occupies slots 1 and 3.  Arc labels run 1..N and are consecutive along each
 component in traversal order, which is how orientation is encoded.
 Crossingless unknot components cannot be expressed in a PD code, so a
 framed link carries an explicit count of them, listed after the PD
-components.  A knot is a framed link with one component.  A code must be
-planar; `FramedLink.build` and `parse_framed_link` count its faces and
-reject a virtual diagram.  Only a code that comes in is validated: mirrors,
-sublinks and band sums are derived from a validated link and keep it
-planar, so they skip the label, component and face checks.
+components.  A knot is a framed link with one component.
+`parse_framed_link` checks the file format only and hands the code to
+`FramedLink.build`, which checks the code: labels, components, label
+succession, orientation and planarity (it counts faces and rejects a
+virtual diagram).  Mirrors, sublinks and band sums are derived from a
+built link and keep it planar, so they skip the label, component and face
+checks.
 """
 
 from __future__ import annotations
@@ -53,17 +55,19 @@ class FramedLink:
 
     @classmethod
     def build(cls, crossings, unknots: int = 0, framings=(), name: Optional[str] = None) -> "FramedLink":
-        """Validate a raw PD code and assemble the link with derived data."""
-        xs = _normalize_crossings(crossings)
+        """The link a raw PD code presents, after the one check of the code.
+
+        Every label must be an `int` of at least 1, so `True` is none; the
+        unknot count and framings need only pass `operator.index`.
+        """
         try:
+            xs = tuple(map(tuple, crossings))
             unknots, framings = index(unknots), tuple(map(index, framings))
         except TypeError as exc:
-            raise MalformedInput(f"unknots and framings must be integers: {exc}") from exc
-        return cls._validated(xs, unknots, framings, name)
-
-    @classmethod
-    def _validated(cls, xs, unknots: int, framings: tuple[int, ...], name) -> "FramedLink":
-        """Validate a code whose labels are known to be positive integers."""
+            raise MalformedInput(f"not a PD code with integer unknots and framings: {exc}") from exc
+        for t in xs:  # type() rules out True and False, which isinstance() would let in
+            if len(t) != 4 or not all(type(x) is int and x >= 1 for x in t):
+                raise MalformedInput(f"crossing {t!r} is not a 4-tuple of positive integers")
         if unknots < 0:
             raise MalformedInput("unknot count must be non-negative")
         comps = _pd_components(xs)
@@ -114,16 +118,6 @@ class FramedLink:
         if self.name is not None:
             data["name"] = self.name
         return data
-
-
-def _normalize_crossings(crossings) -> tuple[Crossing, ...]:
-    xs = []
-    for t in crossings:
-        t = tuple(t)
-        if len(t) != 4 or not all(isinstance(x, int) and x >= 1 for x in t):
-            raise MalformedInput(f"crossing {t!r} is not a 4-tuple of positive arcs")
-        xs.append(t)
-    return tuple(xs)
 
 
 def _root(parent: list[int], a: int) -> int:
@@ -243,12 +237,8 @@ def _resolve_over_directions(xs: tuple[Crossing, ...], comps) -> tuple[int, ...]
     return tuple(over_in)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is no number
-
-
 def parse_framed_link(text: bytes) -> FramedLink:
-    """Parse the JSON framed-link file format.
+    """Check the JSON framed-link file format and `FramedLink.build` its code.
 
     Schema: {"pd": [[a,b,c,d], ...], "unknots": k (optional, default 0),
     "framings": [f_1, ..., f_m], "name": string (optional)}.
@@ -268,16 +258,14 @@ def parse_framed_link(text: bytes) -> FramedLink:
     name = data.get("name")
     if not isinstance(pd, list) or not all(isinstance(t, list) for t in pd):
         raise MalformedInput('"pd" must be a list of 4-element lists')
-    if not isinstance(framings, list) or not all(_is_int(f) for f in framings):
+    # every number must be a JSON integer: type() rules out true and false
+    if not isinstance(framings, list) or not all(type(f) is int for f in framings):
         raise MalformedInput('"framings" must be a list of integers')
-    if not _is_int(unknots):
+    if type(unknots) is not int:
         raise MalformedInput('"unknots" must be an integer')
     if name is not None and not isinstance(name, str):
         raise MalformedInput('"name" must be a string')
-    for t in pd:  # JSON gives exact ints, and type() rules out true and false
-        if len(t) != 4 or not all(type(x) is int and x >= 1 for x in t):
-            raise MalformedInput(f"crossing {t!r} is not a 4-list of positive integers")
-    return FramedLink._validated(tuple(map(tuple, pd)), unknots, tuple(framings), name)
+    return FramedLink.build(pd, unknots, framings, name)
 
 
 def crossing_sign(link: FramedLink, crossing_index: int) -> int:

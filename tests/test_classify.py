@@ -1,5 +1,8 @@
 """Homeomorphism verdicts: oriented, unoriented, smooth mode, slides."""
 
+import itertools
+from dataclasses import replace
+
 import pytest
 
 from kirby4.classify import (
@@ -155,3 +158,37 @@ def test_smooth_mode():
 def test_not_unimodular_rejected():
     with pytest.raises(NotUnimodular):
         homeomorphic_oriented(unknot(2), unknot(1))
+
+
+@pytest.mark.parametrize("left,right,calls,reason", [
+    ("s2xs2", "slide3_a", 0, FORMS_NOT_CONGRUENT),
+    ("slide1_a", "slide3_a", 0, FORMS_NOT_CONGRUENT),
+    ("cp2", "cp2_bar", 1, MATCH_AFTER_REVERSAL),
+    ("chern", "cp2_bar", 0, KS_DIFFER),  # sigma would allow it, ks does not
+])
+def test_unoriented_mirrors_only_when_the_mirror_can_match(monkeypatch, left, right, calls,
+                                                           reason):
+    # mirroring keeps ks and negates sigma: -N can match M only when the ks
+    # agree and sigma(M) = -sigma(N) != 0
+    from kirby4 import classify
+
+    seen = []
+    monkeypatch.setattr(classify, "mirror", lambda link: seen.append(link) or mirror(link))
+    c = corpus()
+    v = homeomorphic_unoriented(c[left], c[right])
+    assert (len(seen), v.homeomorphic, v.reason) == (calls, reason == MATCH_AFTER_REVERSAL,
+                                                     reason)
+
+
+def test_unoriented_is_the_two_pass_rule_on_the_corpus():
+    # the oriented test, then the oriented test against the mirror, written
+    # out without the rule that skips the mirror pass
+    c = {name: link for name, link in corpus().items() if not name.startswith("invalid")}
+    for a, b in itertools.product(c.values(), repeat=2):
+        first = homeomorphic_oriented(a, b)
+        expect = replace(first, oriented=False)
+        if not first.homeomorphic:
+            second = homeomorphic_oriented(a, mirror(b))
+            if second.homeomorphic:
+                expect = replace(second, oriented=False, reason=MATCH_AFTER_REVERSAL)
+        assert homeomorphic_unoriented(a, b) == expect, (a.name, b.name)

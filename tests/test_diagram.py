@@ -171,6 +171,11 @@ class TestInputBoundary:
         with pytest.raises(MalformedInput):
             parse_framed_link(encode([[True, 3, 2, 4], [3, 1, 4, 2]], [0, 0]))
 
+    def test_boolean_label_rejected_by_build(self):
+        # as_dict would write it as JSON true, which parsing rejects
+        with pytest.raises(MalformedInput):
+            FramedLink.build([(True, 3, 2, 4), (3, 1, 4, 2)], framings=[0, 0])
+
     def test_component_of_arc_out_of_range(self):
         link = FramedLink.build(HOPF, framings=[0, 0])
         assert [link.component_of_arc(a) for a in range(1, 5)] == [0, 0, 1, 1]

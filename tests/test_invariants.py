@@ -10,6 +10,7 @@ from kirby4.fixtures import (
     corpus,
     e8_link,
     hopf_link,
+    insert_kink,
     split_union,
     tie_trefoil,
     trefoil,
@@ -70,6 +71,42 @@ class TestKirbySiebenmann:
             if name.startswith("invalid"):
                 continue
             assert kirby_siebenmann(mirror(link)).ks == kirby_siebenmann(link).ks, name
+
+    @staticmethod
+    def seeded_chains(seed, count):
+        """Clasp chains with unimodular linking matrices, some with a trefoil
+        tied in and some with kinks of either sign."""
+        import random
+
+        from kirby4.matrices import bareiss_det
+
+        rng = random.Random(seed)
+        while count:
+            n = rng.randrange(2, 6)
+            rows = [[rng.randrange(-3, 4) if i == j else 0 for j in range(n)] for i in range(n)]
+            for j in range(1, n):
+                rows[j - 1][j] = rows[j][j - 1] = rng.choice([1, -1])
+            if abs(bareiss_det([r[:] for r in rows])) != 1:
+                continue
+            link = clasp_link(S(rows))
+            if rng.random() < 0.4:
+                link = tie_trefoil(link, rng.randrange(n))
+            for _ in range(rng.randrange(3)):
+                link = insert_kink(link, rng.randint(1, 2 * len(link.crossings)),
+                                   rng.choice([1, -1]))
+            yield link
+            count -= 1
+
+    def test_mirror_invariants_follow_from_the_links_own(self):
+        # -M has form -V, so sigma is negated; ks, the characteristic vector,
+        # Arf and the knot determinant are the same
+        links = [link for name, link in corpus().items() if not name.startswith("invalid")]
+        for link in links + list(self.seeded_chains(23, 60)):
+            inv, mir = kirby_siebenmann(link), kirby_siebenmann(mirror(link))
+            assert mir.form.rows() == [[-x for x in row] for row in inv.form.rows()], link
+            assert mir.signature == -inv.signature, link
+            assert (mir.ks, mir.characteristic, mir.arf, mir.knot_determinant) == (
+                inv.ks, inv.characteristic, inv.arf, inv.knot_determinant), link
 
     def test_reidemeister_pairs_share_all_invariants(self):
         # same framed link drawn differently: identical invariant bundles
