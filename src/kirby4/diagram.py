@@ -58,7 +58,8 @@ class FramedLink:
         """The link a raw PD code presents, after the one check of the code.
 
         Every label must be an `int` of at least 1, so `True` is none; the
-        unknot count and framings need only pass `operator.index`.
+        unknot count and framings need only pass `operator.index`, and the
+        name must be None or a string.
         """
         try:
             xs = tuple(map(tuple, crossings))
@@ -70,6 +71,8 @@ class FramedLink:
                 raise MalformedInput(f"crossing {t!r} is not a 4-tuple of positive integers")
         if unknots < 0:
             raise MalformedInput("unknot count must be non-negative")
+        if name is not None and not isinstance(name, str):
+            raise MalformedInput('"name" must be a string')
         comps = _pd_components(xs)
         _check_planar(xs)
         return cls._derived(xs, comps, unknots, framings, name)
@@ -255,7 +258,6 @@ def parse_framed_link(text: bytes) -> FramedLink:
     pd = data.get("pd")
     framings = data.get("framings")
     unknots = data.get("unknots", 0)
-    name = data.get("name")
     if not isinstance(pd, list) or not all(isinstance(t, list) for t in pd):
         raise MalformedInput('"pd" must be a list of 4-element lists')
     # every number must be a JSON integer: type() rules out true and false
@@ -263,9 +265,7 @@ def parse_framed_link(text: bytes) -> FramedLink:
         raise MalformedInput('"framings" must be a list of integers')
     if type(unknots) is not int:
         raise MalformedInput('"unknots" must be an integer')
-    if name is not None and not isinstance(name, str):
-        raise MalformedInput('"name" must be a string')
-    return FramedLink.build(pd, unknots, framings, name)
+    return FramedLink.build(pd, unknots, framings, data.get("name"))
 
 
 def crossing_sign(link: FramedLink, crossing_index: int) -> int:

@@ -1,24 +1,25 @@
 """Exact algebra of integral symmetric unimodular forms.
 
-Covers diagonalization over Q by a symmetric fraction-free (Bareiss)
-elimination whose entries stay minors of the form,
-signature/parity/definiteness classification, characteristic vectors mod 2,
+Covers diagonalization D = P^T V P by a symmetric fraction-free (Bareiss)
+elimination whose entries stay minors of the form, signature/parity/
+definiteness classification, the characteristic vector read off P and D,
 and the full congruence decision: rank/signature/parity for indefinite
 forms; for definite ones, "reduce, then enumerate": integral LLL on both
 forms, an integer Fincke-Pohst enumeration of short vectors read from the
 same elimination, a rejection when the norm counts differ, and an exhaustive
 backtracking search whose witness is the first one in the canonical order
 of the *reduced* basis.  The negative definite case is reduced to the
-positive one by negation.  A form's determinant, class and elimination are
-computed once per `SymIntMatrix` instance: -V takes all three from V's,
-and LLL starts from the elimination's pivot rows.
+positive one by negation.  One elimination per `SymIntMatrix` instance
+fills one record, which every later step reads: -V takes V's record
+negated, and an LLL-reduced form one read off the reduction.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add, mul, neg
 from typing import Optional
 
@@ -33,7 +34,6 @@ from .errors import (
 from .matrices import (
     IntRows,
     SymIntMatrix,
-    bareiss_det,
     congruence,
     identity,
     mat_mul,
@@ -42,8 +42,6 @@ from .matrices import (
 
 EVEN, ODD = "even", "odd"
 POSITIVE, NEGATIVE, INDEFINITE = "positive", "negative", "indefinite"
-_FACTOR = "factor"  # memo key of the pivot rows and D of diagonalize_over_Q
-_NORMS = "norms"  # (_NORMS, r): norms of short_vectors(v, r)'s representatives
 
 
 @dataclass(frozen=True)
@@ -54,6 +52,36 @@ class FormClass:
     signature: int
     parity: str
     definiteness: str
+
+
+@dataclass
+class _Analysis:
+    """What one elimination of a form yields, kept in the form's `memo`: its
+    class, D = P^T V P (diagonal `diag`), the pivot rows (`pivots[j]` is row
+    j of the block at pivot time, from column j on) and, per radius r, the
+    norms of `short_vectors(v, r)`'s representatives.  A form `lll_reduce`
+    returned has no P: nothing on the decision path asks it for one."""
+
+    form_class: FormClass
+    p: Optional[IntRows]
+    diag: list[int]
+    pivots: list[list[int]]
+    norms: dict[int, list[int]] = field(default_factory=dict)
+
+    @cached_property
+    def d(self) -> SymIntMatrix:
+        zero = (0,) * len(self.diag)
+        return SymIntMatrix(len(zero), tuple(zero[:i] + (x,) + zero[i + 1:]
+                                             for i, x in enumerate(self.diag)))
+
+    def negated(self) -> _Analysis:
+        """-V's record: P stays, as P^T (-V) P = -D; pivot row j, made of
+        (j+1) x (j+1) minors, is multiplied by (-1)^(j+1); the class flips."""
+        c = self.form_class
+        flip = {POSITIVE: NEGATIVE, NEGATIVE: POSITIVE}.get(c.definiteness, INDEFINITE)
+        return _Analysis(FormClass(c.rank, -c.signature, c.parity, flip), self.p,
+                         [-x for x in self.diag], [[-x for x in row] if j % 2 == 0 else row
+                                                   for j, row in enumerate(self.pivots)])
 
 
 def _require_unimodular(v: SymIntMatrix) -> None:
@@ -91,10 +119,14 @@ def diagonalize_over_Q(v: SymIntMatrix) -> tuple[IntRows, SymIntMatrix]:
     A repair (column i += column k) keeps P's shape once row k of P loses
     row i, so row k += row i is replayed on P's rows at the end, last repair
     first.  The block rows at pivot time, a_j (from column j on, a_jj =
-    d_(j+1)), are kept in `v.memo` with D: when no pivot needed repair, as
-    for every positive definite form, x^T V x = sum_j (a_j . x)^2 / D_jj,
-    which `short_vectors` enumerates.
+    d_(j+1)), are kept with P, D and the class in V's record: when no pivot
+    needed repair, as for every positive definite form,
+    x^T V x = sum_j (a_j . x)^2 / D_jj, which `short_vectors` enumerates.
+    A second call on the same instance returns the record's P and D.
     """
+    a = v.memo.get(_Analysis)
+    if a is not None and a.p is not None:
+        return a.p, a.d
     _require_unimodular(v)
     m = v.n
     rows = [list(row[k:]) for k, row in enumerate(v.entries)]
@@ -147,62 +179,41 @@ def diagonalize_over_Q(v: SymIntMatrix) -> tuple[IntRows, SymIntMatrix]:
         row_i.append(prev)
         diag.append(prev * piv)
         prev = piv
-    v.memo[_FACTOR] = (factor, diag)
     p = list(zip(*(row[m - k:] + [0] * (m - k - 1) for k, row in enumerate(rows))))
     for i, k in reversed(repairs):
         p[k] = tuple(map(add, p[k], p[i]))
-    zero = (0,) * m
-    return tuple(p), SymIntMatrix(m, tuple(zero[:i] + (x,) + zero[i + 1:] for i, x in enumerate(diag)))
+    pos = sum(x > 0 for x in diag)  # every pivot, so every D_ii, is nonzero
+    fc = FormClass(m, 2 * pos - m, EVEN if all(x % 2 == 0 for x in v.diagonal()) else ODD,
+                   POSITIVE if pos == m else NEGATIVE if pos == 0 else INDEFINITE)
+    a = v.memo[_Analysis] = _Analysis(fc, tuple(p), diag, factor)
+    return a.p, a.d
 
 
 def classify(v: SymIntMatrix) -> FormClass:
-    """Rank, signature, parity, and definiteness of a unimodular form.
-
-    Computed once per matrix instance and kept in its `memo`.
-    """
-    fc = v.memo.get(FormClass)
-    if fc is not None:
-        return fc
-    diag = diagonalize_over_Q(v)[1].diagonal()
-    pos = sum(1 for x in diag if x > 0)
-    neg = sum(1 for x in diag if x < 0)
-    if pos + neg != v.n:
-        raise InternalInvariantViolation("zero diagonal entry after diagonalization")
-    parity = EVEN if all(x % 2 == 0 for x in v.diagonal()) else ODD
-    definiteness = POSITIVE if neg == 0 else NEGATIVE if pos == 0 else INDEFINITE
-    fc = v.memo[FormClass] = FormClass(v.n, pos - neg, parity, definiteness)
-    return fc
+    """Rank, signature, parity, and definiteness of a unimodular form, from its elimination."""
+    if _Analysis not in v.memo:
+        diagonalize_over_Q(v)
+    return v.memo[_Analysis].form_class
 
 
 def characteristic_vector(v: SymIntMatrix) -> tuple[int, ...]:
     """The 0/1 vector c with c^T V x = x^T V x mod 2 for every integer x.
 
-    Since x^T V x = sum V_ii x_i mod 2, c solves V c = diag V mod 2, and as
-    det V is odd the solution is unique (Milnor-Husemoller, ch. II).  It is
-    found by Gauss-Jordan elimination over GF(2) on rows packed into ints:
-    bit j of a row is column j, and bit m (the rank) the right-hand side.
+    As x^T V x = sum V_ii x_i mod 2, c solves V c = diag V mod 2, uniquely
+    as det V is odd (Milnor-Husemoller, ch. II), so c = V^-1 diag V mod 2.
+    V^-1 = P D^-1 P^T is integral and read off the elimination `classify`
+    shares: over L = lcm(D_ii), c = P (L D^-1) P^T (diag V mod 2) / L mod 2.
+    A c that fails the condition raises InternalInvariantViolation.
     """
-    _require_unimodular(v)
-    m = v.n
-    rows = [
-        sum((x & 1) << j for j, x in enumerate(row)) | (row[i] & 1) << m
-        for i, row in enumerate(v.entries)
-    ]
-    for j in range(m):
-        bit = 1 << j
-        p = next((r for r in range(j, m) if rows[r] & bit), None)
-        if p is None:
-            raise InternalInvariantViolation("unimodular form is singular mod 2")
-        rows[j], rows[p] = rows[p], rows[j]
-        for r in range(m):
-            if r != j and rows[r] & bit:
-                rows[r] ^= rows[j]
-    c = [row >> m & 1 for row in rows]
-    for i in range(m):
-        lhs = sum(c[r] * v[r][i] for r in range(m)) % 2
-        if lhs != v[i][i] % 2:
-            raise InternalInvariantViolation("characteristic condition failed")
-    return tuple(c)
+    p, d = diagonalize_over_Q(v)
+    diag = d.diagonal()
+    scale = math.lcm(*diag)
+    rhs = [x & 1 for x in v.diagonal()]
+    y = [scale // q * sum(map(mul, col, rhs)) for q, col in zip(diag, zip(*p))]
+    c = tuple(sum(map(mul, row, y)) // scale & 1 for row in p)
+    if any(sum(map(mul, c, row)) - row[i] & 1 for i, row in enumerate(v.entries)):
+        raise InternalInvariantViolation("characteristic condition failed")
+    return c
 
 
 def congruent_indefinite(v: SymIntMatrix, w: SymIntMatrix) -> bool:
@@ -233,16 +244,16 @@ def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIn
     Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7,
     run on the Gram matrix: d[i] is the Gram determinant of the first i
     basis vectors and lam[k][j] = d[j+1] * mu_kj, so every quantity is an
-    integer.  It starts from the pivot rows `classify` left in V's memo: a
+    integer.  It starts from the pivot rows of V's elimination record: a
     definite form needs no pivot repair, so a_jj = d[j+1] and a_jk =
     lam[k][j], and swaps keep every lam current, so d and lam decide every
     step.  Returns (U, U^-1, U^T V U) with U unimodular; the columns of U
-    are the reduced basis.  The reduced form takes V's class, and its pivot
-    rows a_j (a_jj = d[j+1], a_jk = lam[k][j]) and D_jj = d[j] d[j+1] from
-    the final d and lam; its entries are read off them too, as
-    G_kl = sum_(j <= k, l) a_jk a_jl / D_jj over L = lcm(D_jj), skipping
-    the j with lam[k][j] = 0.  A division that leaves a remainder raises
-    InternalInvariantViolation.
+    are the reduced basis.  The reduced form's record takes V's class, no
+    P, and its pivot rows a_j (a_jj = d[j+1], a_jk = lam[k][j]) and
+    D_jj = d[j] d[j+1] from the final d and lam; its entries are read off
+    them too, as G_kl = sum_(j <= k, l) a_jk a_jl / D_jj over
+    L = lcm(D_jj), skipping the j with lam[k][j] = 0.  A division that
+    leaves a remainder raises InternalInvariantViolation.
     """
     fc = classify(v)
     if fc.definiteness != POSITIVE:
@@ -250,7 +261,7 @@ def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIn
     n = v.n
     basis = identity(n)  # basis[k] is column k of U
     inv = identity(n)  # rows of U^-1
-    rows, _ = v.memo[_FACTOR]
+    rows = v.memo[_Analysis].pivots
     d = [1] + [row[0] for row in rows]
     lam = [[rows[j][k - j] for j in range(k)] for k in range(n)]
 
@@ -299,8 +310,7 @@ def lll_reduce(v: SymIntMatrix) -> tuple[list[list[int]], list[list[int]], SymIn
     if any(scale * sum(row) != sum(srow) for row, srow in zip(gram, scaled)):
         raise InternalInvariantViolation("reduced Gram matrix is not integral")
     reduced = SymIntMatrix.from_rows(gram)
-    reduced.memo[FormClass] = fc
-    reduced.memo[_FACTOR] = (factor, diag)
+    reduced.memo[_Analysis] = _Analysis(fc, None, diag, factor)
     return transpose(basis), inv, reduced
 
 
@@ -312,12 +322,12 @@ def short_vectors(v: SymIntMatrix, r: int) -> list[tuple[int, ...]]:
     negation.  `congruent_definite` enumerates the LLL-reduced forms, so its
     witness is the first one in the canonical order of the reduced basis.
     The vectors come from `_walk`, which raises ResourceLimitExceeded as
-    soon as the count of vectors found passes KIRBY4_MAX_ENUM;
-    `v.memo[_NORMS, r]` keeps their norms in the order of out[::2].
+    soon as the count of vectors found passes KIRBY4_MAX_ENUM; V's record
+    keeps their norms in the order of out[::2].
     """
     reps = _walk(v, r, True)
     reps.sort()
-    v.memo[_NORMS, r] = [q for _, _, q in reps]
+    v.memo[_Analysis].norms[r] = [q for _, _, q in reps]
     return [y for t, nt, _ in reps for y in (t, nt)]
 
 
@@ -326,8 +336,8 @@ def _walk(v: SymIntMatrix, r: int, keep: bool) -> list:
     (x, -x, norm) with x's first nonzero entry positive if `keep`, else the norm.
 
     Fincke-Pohst enumeration in integers only.  The factor is the pivot rows
-    that `classify` left in V's memo (read off the reduction for a form
-    `lll_reduce` returned, carried over for -V): with a_j the row of pivot j
+    of V's elimination record (read off the reduction for a form
+    `lll_reduce` returned, V's negated for -V): with a_j the row of pivot j
     and D_jj its diagonal entry, x^T V x = sum_j (a_j . x)^2 / D_jj, so after
     scaling by L = lcm(D_jj) each level needs one isqrt and integer bounds.
     Only x whose last nonzero entry is positive are visited.  Level j keeps
@@ -345,11 +355,11 @@ def _walk(v: SymIntMatrix, r: int, keep: bool) -> list:
     out: list = []
     if n == 0 or r < 1:
         return out
-    rows, pivots = v.memo[_FACTOR]
-    scale = math.lcm(*pivots)
-    weight = [scale // p for p in pivots]
-    heads = [row[0] for row in rows]
-    tails = [row[1:] for row in rows]
+    a = v.memo[_Analysis]
+    scale = math.lcm(*a.diag)
+    weight = [scale // p for p in a.diag]
+    heads = [row[0] for row in a.pivots]
+    tails = [row[1:] for row in a.pivots]
     top = scale * r
     x, hi, ctr, rem = [0] * n, [0] * n, [0] * n, [0] * n
     j, b, nz = n - 1, top, -1  # enter level j with bound b left
@@ -434,7 +444,7 @@ def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
     _, u_w_inv, w2 = lll_reduce(w)
     r = max(w2.diagonal())
     cands = short_vectors(v2, r)
-    norms = v2.memo[_NORMS, r]
+    norms = v2.memo[_Analysis].norms[r]
     if sorted(norms) != sorted(_walk(w2, r, False)):
         return None
     by_norm: dict[int, list[int]] = {}
@@ -487,8 +497,6 @@ def congruent_definite(v: SymIntMatrix, w: SymIntMatrix) -> Optional[IntRows]:
     a = mat_mul(mat_mul(u_v, a2), u_w_inv)
     if congruence(a, v.rows()) != w.rows():
         raise InternalInvariantViolation("assembled witness fails A^T V A == W")
-    if bareiss_det(a) not in (1, -1):
-        raise InternalInvariantViolation("assembled witness is not unimodular")
     return tuple(tuple(r_) for r_ in a)
 
 
@@ -506,24 +514,16 @@ def congruent_with_witness(v: SymIntMatrix, w: SymIntMatrix) -> tuple[bool, Opti
     if cv.definiteness == INDEFINITE:
         return congruent_indefinite(v, w), None
     if cv.definiteness == NEGATIVE:
-        witness = congruent_definite(_negated(v), _negated(w))
-    else:
-        witness = congruent_definite(v, w)
+        v, w = _negated(v), _negated(w)
+    witness = congruent_definite(v, w)
     return witness is not None, witness
 
 
 def _negated(v: SymIntMatrix) -> SymIntMatrix:
-    """-V for a negative definite V, with its class and pivot rows carried over.
-
-    No pivot of a definite form needs repair, so pivot row j holds (j+1) x (j+1)
-    minors and D_jj = d_j d_(j+1); negating V multiplies row j by (-1)^(j+1), D by -1.
-    """
+    """-V, with V's elimination record negated."""
+    classify(v)
     out = SymIntMatrix(v.n, tuple(tuple(map(neg, r)) for r in v.entries))
-    c = classify(v)
-    out.memo[FormClass] = FormClass(c.rank, -c.signature, c.parity, POSITIVE)
-    rows, diag = v.memo[_FACTOR]
-    signed = [[-x for x in row] if j % 2 == 0 else list(row) for j, row in enumerate(rows)]
-    out.memo[_FACTOR] = (signed, [-x for x in diag])
+    out.memo[_Analysis] = v.memo[_Analysis].negated()
     return out
 
 

@@ -19,11 +19,10 @@ IntRows = tuple[tuple[int, ...], ...]
 class SymIntMatrix:
     """Symmetric matrix with arbitrary-precision integer entries.
 
-    `det` and what other modules keep in `memo` (`forms.classify`'s class,
-    `forms.diagonalize_over_Q`'s pivot rows, `forms.short_vectors`' norms) are
-    computed at most once per instance.  They live on the instance alone: an
-    equal matrix built separately computes them again, and neither takes part
-    in equality, hashing or repr.
+    `det` and the record of `forms.diagonalize_over_Q`'s elimination, which
+    `forms` keeps in `memo`, are computed at most once per instance.  They
+    live on the instance alone: an equal matrix built separately computes
+    them again, and neither takes part in equality, hashing or repr.
     """
 
     n: int

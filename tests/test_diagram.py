@@ -176,6 +176,12 @@ class TestInputBoundary:
         with pytest.raises(MalformedInput):
             FramedLink.build([(True, 3, 2, 4), (3, 1, 4, 2)], framings=[0, 0])
 
+    @pytest.mark.parametrize("name", [5, b"hopf", ["hopf"], True])
+    def test_name_that_is_no_string_rejected_by_build(self, name):
+        # as_dict would write it, and parsing rejects a name that is not a string
+        with pytest.raises(MalformedInput):
+            FramedLink.build([], 1, [0], name=name)
+
     def test_component_of_arc_out_of_range(self):
         link = FramedLink.build(HOPF, framings=[0, 0])
         assert [link.component_of_arc(a) for a in range(1, 5)] == [0, 0, 1, 1]

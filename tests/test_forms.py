@@ -58,6 +58,16 @@ I = lambda n: S([[int(i == j) for j in range(n)] for i in range(n)])  # noqa: E7
 DIAG = lambda *xs: S([[xs[i] if i == j else 0 for j in range(len(xs))] for i in range(len(xs))])
 
 
+def record(v):
+    """The record of v's elimination that `forms` keeps."""
+    return v.memo[forms._Analysis]
+
+
+def factor(v):
+    """The pivot rows and diagonal of D in v's elimination record."""
+    return record(v).pivots, record(v).diag
+
+
 class TestDiagonalize:
     def test_already_diagonal(self):
         p, d = diagonalize_over_Q(DIAG(1, -1))
@@ -138,7 +148,7 @@ class TestAgainstFullColumnElimination:
         oracle_p, pivot_rows, diag = symmetric_bareiss(rows)
         assert [list(r) for r in p] == oracle_p
         assert list(d.diagonal()) == diag
-        assert v.memo[forms._FACTOR] == (pivot_rows, diag)
+        assert factor(v) == (pivot_rows, diag)
 
     def test_benchmark_shaped_forms(self):
         repaired = 0
@@ -147,7 +157,7 @@ class TestAgainstFullColumnElimination:
             p, d = diagonalize_over_Q(v)
             oracle_p, pivot_rows, diag = symmetric_bareiss(rows)
             assert [list(r) for r in p] == oracle_p
-            assert v.memo[forms._FACTOR] == (pivot_rows, diag)
+            assert factor(v) == (pivot_rows, diag)
             repaired += any(p[r][c] for r in range(v.n) for c in range(r))
         assert repaired > 0
 
@@ -195,7 +205,7 @@ class TestBoundedGrowth:
         assert sandwich([list(r) for r in p], v.rows()) == d.rows()
         diag = d.diagonal()
         assert sum(x > 0 for x in diag) - sum(x < 0 for x in diag) == signature
-        pivot_rows, _ = v.memo[forms._FACTOR]
+        pivot_rows = record(v).pivots
         bits = max(abs(x).bit_length() for row in (diag, *p, *pivot_rows) for x in row)
         assert bits <= hadamard_bits(v)
         # The exact size: eight sampled pivot-row entries and the largest one
@@ -249,6 +259,31 @@ class TestComputedOncePerInstance:
         assert calls["diagonalize_over_Q"] <= 2
         assert calls["bareiss_det"] <= 2
 
+    def test_characteristic_vector_and_classify_share_one_elimination(self, calls):
+        v = S([[0, 1, 0], [1, 0, 0], [0, 0, 1]])  # H + <1>: pivot 0 needs a repair
+        assert characteristic_vector(v) == (0, 0, 1)
+        assert classify(v).signature == 1
+        assert calls["diagonalize_over_Q"] == 1
+        assert calls["bareiss_det"] == 1
+
+    def test_ks_runs_one_elimination(self, calls):
+        from kirby4 import fixtures
+        from kirby4.invariants import kirby_siebenmann
+
+        for name in ("e8", "chern", "s2xs2", "clasp_12_23_trefoil"):
+            calls.clear()
+            kirby_siebenmann(fixtures.corpus()[name])
+            assert calls["diagonalize_over_Q"] == 1, name
+
+    def test_negated_forms_run_no_elimination(self, calls):
+        v, w = (seeded_conjugate(NEGATIVE_BASES["-(E8+I1)"], seed) for seed in (0, 1))
+        assert congruent_with_witness(v, w)[0]
+        assert calls["diagonalize_over_Q"] == 2  # V's and W's, none for -V or -W
+        negated = forms._negated(v)
+        kept = record(negated)
+        assert characteristic_vector(negated) == characteristic_vector(v)
+        assert record(negated) is kept  # read off the record, not a new elimination
+
     def test_negation_keeps_the_analysis(self, calls):
         e8 = E8_MATRIX.rows()
         assert congruent_with_witness(S(e8), S(e8))[0]
@@ -293,18 +328,33 @@ class TestCharacteristicVector:
             c = characteristic_vector(v)
             assert c in brute_force_characteristic(v)
 
+    def test_a_wrong_factor_fails_the_condition(self):
+        # c is checked against V itself: with P off in one entry, P D^-1 P^T
+        # is not I2^-1 and gives c = (1, 0)
+        v = I(2)
+        diagonalize_over_Q(v)
+        record(v).p = ((1, 1), (0, 1))
+        with pytest.raises(InternalInvariantViolation, match="characteristic condition"):
+            characteristic_vector(v)
+
     def test_unique_on_seeded_conjugates(self):
         # A unimodular form has exactly one characteristic vector mod 2.
         import random
 
+        # H + <1> and E8 + H need pivot repairs as written
         bases = [E8_MATRIX.rows(), I(9).rows(), block_diag(H.rows(), H.rows()),
-                 block_diag(I(3).rows(), DIAG(-1, -1, -1, -1).rows())]
+                 block_diag(I(3).rows(), DIAG(-1, -1, -1, -1).rows()),
+                 block_diag(H.rows(), [[1]]), block_diag(E8_MATRIX.rows(), H.rows())]
+        repaired = 0
         for seed, base in enumerate(bases):
             rng = random.Random(seed)
-            for _ in range(3):
+            for steps in (0, 3, 3, 3):  # the base as written, then three conjugates
                 n = len(base)
-                v = S(sandwich(random_unimodular(rng, n, steps=3 * n), base))
+                v = S(sandwich(random_unimodular(rng, n, steps=steps * n), base))
                 assert [characteristic_vector(v)] == brute_force_characteristic(v)
+                p, _ = diagonalize_over_Q(v)
+                repaired += any(p[r][c] for r in range(n) for c in range(r))
+        assert repaired >= 2
 
 
 class TestIndefinite:
@@ -374,9 +424,9 @@ class TestShortVectors:
         for seed in range(3):
             v = seeded_conjugate(base, seed)
             reps = short_vectors(v, r)[::2]
-            assert v.memo[forms._NORMS, r] == [
+            assert record(v).norms[r] == [
                 sum(x[i] * v[i][j] * x[j] for i in range(v.n) for j in range(v.n)) for x in reps]
-        assert short_vectors(v, 0) == [] and v.memo[forms._NORMS, 0] == []
+        assert short_vectors(v, 0) == [] and record(v).norms[0] == []
 
     @pytest.mark.parametrize("case", range(30))
     def test_matches_box_oracle(self, case):
@@ -409,7 +459,7 @@ class TestShortVectors:
         for v in (raw, reduced, carried):
             expected = box_short_vectors(v, r)
             assert short_vectors(v, r) == expected
-            norms = v.memo[forms._NORMS, r]
+            norms = record(v).norms[r]
             assert norms == [sum(x[i] * v[i][j] * x[j] for i in range(n) for j in range(n))
                              for x in expected[::2]]
             assert sorted(forms._walk(v, r, False)) == sorted(norms)
@@ -440,19 +490,21 @@ class TestLLL:
             assert sandwich(u, v.rows()) == reduced.rows()
             assert lll_conditions_hold(reduced)
             assert max(reduced.diagonal()) <= 2
-            # the factor handed to the reduced form is its own elimination's
+            # the factor handed to the reduced form is its own elimination's;
+            # it carries no P, so a direct call runs that elimination
             fresh = S(reduced.rows())
             diagonalize_over_Q(fresh)
-            assert reduced.memo[forms._FACTOR] == fresh.memo[forms._FACTOR]
+            assert factor(reduced) == factor(fresh) and record(reduced).p is None
+            assert diagonalize_over_Q(reduced) == diagonalize_over_Q(fresh)
+            assert factor(reduced) == factor(fresh)
 
     def test_gram_off_the_factor_must_be_integral(self):
         # The reduced form is read off d and lambda; pivot rows that are not
         # V's own (here a_12 off by one) leave a remainder, which raises.
         v = S(E8_MATRIX.rows())
         classify(v)
-        rows, diag = v.memo[forms._FACTOR]
-        v.memo[forms._FACTOR] = ([row[:] for row in rows], diag)
-        v.memo[forms._FACTOR][0][1][1] += 1
+        record(v).pivots = [row[:] for row in record(v).pivots]
+        record(v).pivots[1][1] += 1
         with pytest.raises(InternalInvariantViolation, match="not integral"):
             lll_reduce(v)
 
@@ -474,7 +526,14 @@ class TestNegatedFactor:
             assert classify(v).definiteness == NEGATIVE
             fresh = S([[-x for x in row] for row in v.entries])
             diagonalize_over_Q(fresh)
-            assert forms._negated(v).memo[forms._FACTOR] == fresh.memo[forms._FACTOR]
+            negated = forms._negated(v)
+            assert factor(negated) == factor(fresh)
+            assert classify(negated) == classify(fresh)
+            # P is V's, and D is negated: P^T (-V) P = -D
+            p, d = diagonalize_over_Q(negated)
+            assert p == record(v).p
+            assert list(d.diagonal()) == [-x for x in record(v).diag]
+            assert sandwich([list(r) for r in p], negated.rows()) == d.rows()
 
     @pytest.mark.parametrize("name", list(NEGATIVE_BASES))
     def test_enumerating_minus_v_eliminates_nothing(self, name, calls):

@@ -35,7 +35,9 @@ JSON = st.recursive(
     max_leaves=20,
 )
 LABELS = st.integers(-1, 10) | st.sampled_from([True, False, 1.0, "1", None])
-NAMES = st.none() | st.text(max_size=5)
+# names that are no strings too: `build` must reject them, as parsing does
+NAMES = (st.none() | st.text(max_size=5) | st.integers(-1, 5) | st.booleans()
+         | st.lists(st.text(max_size=2), max_size=1))
 CODES = [link for name, link in fixtures.corpus().items() if link.crossings]
 
 
