@@ -177,6 +177,60 @@ class TestAgainstFullColumnElimination:
         assert repaired > 100  # a repair is what makes P leave upper triangular form
 
 
+class TestWithoutTransform:
+    """`classify` runs the elimination with transform=False: it must fill the
+    record with the same class, D and pivot rows as the run that builds P,
+    and leave P out, so that the first caller of P eliminates once more."""
+
+    @staticmethod
+    def forms_to_compare():
+        import random
+
+        yield from (H.rows(), [[0, 1], [1, -2]], block_diag(H.rows(), [[0, 1], [1, -2]], [[1]]))
+        yield from benchmark_shaped_forms()  # 24 forms, some needing pivot repairs
+        for n in range(1, 25):
+            for seed in range(3):
+                rng = random.Random(100 * n + seed)
+                yield random_unimodular_symmetric(rng, n, steps=n, definite=seed == 2).rows()
+
+    def test_same_record_as_the_run_with_p(self):
+        repaired = 0
+        for rows in self.forms_to_compare():
+            with_p, without = S(rows), S(rows)
+            p, d = diagonalize_over_Q(with_p)
+            assert diagonalize_over_Q(without, transform=False) == (None, d)
+            assert record(without).p is None
+            assert record(without).form_class == record(with_p).form_class
+            assert factor(without) == factor(with_p)
+            repaired += any(p[r][c] for r in range(len(rows)) for c in range(r))
+        assert repaired >= 20
+
+    @pytest.mark.parametrize("transform", [True, False])
+    def test_degenerate_blocks_raise_on_both(self, transform, monkeypatch):
+        with pytest.raises(NotUnimodular):
+            diagonalize_over_Q(S([[2, 1], [1, 2]]), transform=transform)
+        # past the determinant check, the elimination meets the zero block itself
+        monkeypatch.setattr(forms, "_require_unimodular", lambda v: None)
+        for rows in ([[0, 0], [0, 1]], [[1, 1], [1, 1]], [[1, 0, 0], [0, 0, 0], [0, 0, -1]]):
+            with pytest.raises(NotUnimodular, match="degenerate block"):
+                diagonalize_over_Q(S(rows), transform=transform)
+
+    def test_classify_builds_no_p_and_characteristic_vector_eliminates_once(self, calls):
+        for rows in ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], k3_windowed(1), E8_MATRIX.rows()):
+            v = S(rows)
+            classify(v)
+            without = record(v)
+            assert without.p is None
+            c = characteristic_vector(v)
+            with_p = record(v)
+            assert with_p is not without and with_p.p is not None
+            assert (with_p.form_class, with_p.diag, with_p.pivots) == (
+                without.form_class, without.diag, without.pivots)
+            assert characteristic_vector(v) == c == characteristic_vector(S(rows))
+            assert record(v) is with_p  # the second call reads P off the record
+        assert calls["bareiss_det"] == 6  # one per instance: the re-elimination reuses det
+
+
 def hadamard_bits(v: SymIntMatrix) -> int:
     """2 * sum_j ceil(log2 ||row_j||) + 2: bits of any product of two minors of v."""
     ceil_log2_norm = lambda sq: ((sq - 1).bit_length() + 1) // 2  # noqa: E731
@@ -225,9 +279,9 @@ def calls(monkeypatch):
 
     counts = Counter()
     for mod, name in ((forms, "diagonalize_over_Q"), (matrices, "bareiss_det")):
-        def counted(*args, _fn=getattr(mod, name), _name=name):
+        def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
             counts[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
 
         monkeypatch.setattr(mod, name, counted)
     return counts
@@ -279,9 +333,17 @@ class TestComputedOncePerInstance:
         v, w = (seeded_conjugate(NEGATIVE_BASES["-(E8+I1)"], seed) for seed in (0, 1))
         assert congruent_with_witness(v, w)[0]
         assert calls["diagonalize_over_Q"] == 2  # V's and W's, none for -V or -W
+        # V was only classified, so -V inherits no P: its c eliminates -V once
+        negated = forms._negated(v)
+        assert record(negated).p is None
+        c = characteristic_vector(negated)
+        assert record(negated).p is not None
+        # once V's record has P, -V inherits it and reads c off the record
+        assert characteristic_vector(v) == c
         negated = forms._negated(v)
         kept = record(negated)
-        assert characteristic_vector(negated) == characteristic_vector(v)
+        assert kept.p is record(v).p
+        assert characteristic_vector(negated) == c
         assert record(negated) is kept  # read off the record, not a new elimination
 
     def test_negation_keeps_the_analysis(self, calls):
@@ -524,14 +586,19 @@ class TestNegatedFactor:
         for seed in range(14):
             v = seeded_conjugate(NEGATIVE_BASES[name], seed)
             assert classify(v).definiteness == NEGATIVE
+            if seed % 2:
+                diagonalize_over_Q(v)  # V's record gets P; classify built none
+            assert (record(v).p is None) == (seed % 2 == 0)
             fresh = S([[-x for x in row] for row in v.entries])
             diagonalize_over_Q(fresh)
             negated = forms._negated(v)
             assert factor(negated) == factor(fresh)
             assert classify(negated) == classify(fresh)
-            # P is V's, and D is negated: P^T (-V) P = -D
+            # -V inherits P only when V's record has one, as P^T (-V) P = -D;
+            # otherwise asking for P eliminates -V afresh
+            assert record(negated).p is record(v).p
             p, d = diagonalize_over_Q(negated)
-            assert p == record(v).p
+            assert p == (record(v).p or record(fresh).p)
             assert list(d.diagonal()) == [-x for x in record(v).diag]
             assert sandwich([list(r) for r in p], negated.rows()) == d.rows()
 
